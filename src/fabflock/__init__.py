@@ -2,7 +2,6 @@
 
 from .baseline import BaselinePolicy
 from .engine import (
-    Policy,
     SimState,
     SimulationAbort,
     audit_state,
@@ -15,9 +14,7 @@ from .metrics import (
     LotRecord,
     MetricsSummary,
     RunResult,
-    finish_histogram,
     flow_factor,
-    makespan,
     summarize,
     tardiness,
     utilization,
@@ -34,7 +31,6 @@ from .model import (
     WorkcenterView,
     batch_missing,
     next_step,
-    queue_total_len,
 )
 from .scenario import (
     LotSpec,
@@ -62,7 +58,6 @@ __all__ = [
     "MachineType",
     "MetricsSummary",
     "MultiQueue",
-    "Policy",
     "Recipe",
     "RunResult",
     "Scenario",
@@ -73,13 +68,10 @@ __all__ = [
     "audit_state",
     "batch_missing",
     "build_small_fab",
-    "finish_histogram",
     "flow_factor",
     "init_run",
-    "makespan",
     "next_step",
     "parse_scenario",
-    "queue_total_len",
     "run_to_completion",
     "serialize_scenario",
     "small_fab_recipe",

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 
-from .engine import Policy
 from .model import (
     Batch,
     Lot,
@@ -50,15 +49,7 @@ def choose_batch(lot: Lot, view: WorkcenterView, rng: random.Random) -> tuple[in
         fewest = min(batch_missing(b, view.batch_size) for _, b in partials)
         ties = [i for i, b in partials if batch_missing(b, view.batch_size) == fewest]
         return pick_uniform(ties, rng), "join"
-    lens = [view.queue_len(i) for i in range(len(view))]
-    shortest = min(lens)
-    return pick_uniform([i for i, n in enumerate(lens) if n == shortest], rng), "new"
-
-
-def take_single(machine: Machine, queue: MultiQueue,
-                view: WorkcenterView, rng: random.Random) -> Lot | None:
-    """FIFO: the queue head, or None when empty."""
-    return queue.lots[0] if queue.lots else None
+    return choose_single(lot, view, rng), "new"
 
 
 def take_batch(machine: Machine, queue: MultiQueue,
@@ -74,18 +65,36 @@ def take_batch(machine: Machine, queue: MultiQueue,
     return pick_uniform([b for b in queue.batches if len(b.lots) == fullest], rng)
 
 
-class BaselinePolicy(Policy):
-    """Shortest-queue FIFO plus fill-least-missing-batch-first."""
+class BaselinePolicy:
+    """Shortest-queue FIFO plus fill-least-missing-batch-first, and the root
+    of every policy. The engine calls three hooks:
+
+    - ``choose_queue(lot, view, rng)``: index of the machine whose queue an
+      arriving lot joins;
+    - ``take_single(machine, queue, view, rng)``: runs just before an idle
+      single-step machine loads the head of its nonempty queue, and may only
+      reorder that queue in place;
+    - ``take_batch(machine, queue, rng, wt_expired)``: batch from
+      ``queue.batches`` to start, or None to keep waiting.
+
+    Subclasses change single-step decisions through ``choose_single`` and
+    ``take_single``; batch decisions stay the baseline rules.
+    """
 
     name = "baseline"
 
-    def choose_queue(self, lot, view, rng):
+    def choose_queue(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
         if view.kind is MachineKind.BATCH:
             return choose_batch(lot, view, rng)[0]
+        return self.choose_single(lot, view, rng)
+
+    def choose_single(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
         return choose_single(lot, view, rng)
 
-    def take_single(self, machine, queue, view, rng):
-        return take_single(machine, queue, view, rng)
+    def take_single(self, machine: Machine, queue: MultiQueue,
+                    view: WorkcenterView, rng: random.Random) -> None:
+        """FIFO: the head stays where it is."""
 
-    def take_batch(self, machine, queue, rng, wt_expired):
+    def take_batch(self, machine: Machine, queue: MultiQueue,
+                   rng: random.Random, wt_expired: bool) -> Batch | None:
         return take_batch(machine, queue, rng, wt_expired)

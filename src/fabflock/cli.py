@@ -14,11 +14,11 @@ import sys
 from pathlib import Path
 
 from .baseline import BaselinePolicy
-from .engine import Policy, SimulationAbort, init_run, run_to_completion
+from .engine import SimulationAbort, init_run, run_to_completion
 from .flocking import DEFAULT_FLSQ_LEN, FlockingPolicy
 from .metrics import RunResult, histogram_from_times, summarize
 from .model import ConfigError
-from .scenario import Scenario, build_small_fab, parse_scenario
+from .scenario import Scenario, ScenarioError, build_small_fab, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,7 +38,7 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def make_policy(name: str, flsq_len: int = DEFAULT_FLSQ_LEN) -> Policy:
+def make_policy(name: str, flsq_len: int = DEFAULT_FLSQ_LEN) -> BaselinePolicy:
     if name == "baseline":
         return BaselinePolicy()
     if name == "flocking":
@@ -50,7 +50,12 @@ def load_scenario(source: str) -> Scenario:
     """Builtin name or path to a scenario file."""
     if source == "smallfab":
         return build_small_fab()
-    return parse_scenario(Path(source).read_text(encoding="utf-8"))
+    try:
+        text = Path(source).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(
+            f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_scenario(text)
 
 
 def percent_change(reference: float, value: float) -> float:

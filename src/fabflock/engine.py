@@ -8,10 +8,11 @@ Every tick executes five phases in this fixed order:
    current tick; the rest pick a queue at their next workcenter through the
    active policy, visited in a seeded random order, and are enqueued at this
    tick.
-3. Idle machines, visited in a seeded random order, try to start: single-step
-   machines ask the policy for a lot from their queue, batch machines for a
-   batch (passing whether their waiting timer has expired). Starting credits
-   each loaded lot's queue wait.
+3. Idle machines, visited in a seeded random order, try to start: a
+   single-step machine lets the policy reorder its queue in place and then
+   loads the queue head; a batch machine asks the policy for a batch
+   (passing whether its waiting timer has expired). Starting credits each
+   loaded lot's queue wait.
 4. Waiting-timer countdown for idle batch machines with queued lots.
 5. The clock advances by one; busy machines accumulate one busy tick.
 
@@ -32,13 +33,12 @@ one per-run ``random.Random``, making a run a pure function of
 
 from __future__ import annotations
 
-import abc
 import random
 from dataclasses import dataclass, field
 
+from .baseline import BaselinePolicy
 from .metrics import LotRecord, RunResult
 from .model import (
-    Batch,
     Lot,
     Machine,
     MachineKind,
@@ -55,27 +55,6 @@ class SimulationAbort(RuntimeError):
     """No lot finished within the livelock horizon."""
 
 
-class Policy(abc.ABC):
-    """Scheduling policy: stateless decisions over workcenter snapshots."""
-
-    name: str = "policy"
-
-    @abc.abstractmethod
-    def choose_queue(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
-        """Index of the machine whose queue the lot joins."""
-
-    @abc.abstractmethod
-    def take_single(self, machine: Machine, queue: MultiQueue,
-                    view: WorkcenterView, rng: random.Random) -> Lot | None:
-        """Lot to load next, after any in-place reordering of ``queue``; the
-        returned lot must sit at the queue head. None keeps the machine idle."""
-
-    @abc.abstractmethod
-    def take_batch(self, machine: Machine, queue: MultiQueue,
-                   rng: random.Random, wt_expired: bool) -> Batch | None:
-        """Batch from ``queue.batches`` to start, or None to keep waiting."""
-
-
 @dataclass
 class Workcenter:
     mtype: MachineType
@@ -89,7 +68,7 @@ class Workcenter:
 @dataclass
 class SimState:
     scenario: Scenario
-    policy: Policy
+    policy: BaselinePolicy
     seed: int
     rng: random.Random
     workcenters: dict[int, Workcenter]
@@ -119,7 +98,7 @@ def _start(machine: Machine, lots: list[Lot], clock: int) -> None:
         lot.total_queue_ticks += clock - lot.enqueue_time
 
 
-def init_run(scenario: Scenario, policy: Policy, seed: int) -> SimState:
+def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
     """Fresh simulation at tick 0 with every lot queued at its first step.
 
     Lots are dispatched in a seeded random order through the policy's queue
@@ -194,14 +173,8 @@ def tick(state: SimState) -> SimState:
         if queue.is_empty():
             continue
         if m.mtype.kind is MachineKind.SINGLE_STEP:
-            lot = policy.take_single(m, queue, wc.view(), rng)
-            if lot is None:
-                continue
-            head = queue.pop_head()
-            if head is not lot:
-                raise RuntimeError(
-                    f"{policy.name}: take_single must leave its lot at the queue head")
-            _start(m, [head], clock)
+            policy.take_single(m, queue, wc.view(), rng)
+            _start(m, [queue.pop_head()], clock)
         else:
             wt_expired = m.wt_remaining == 0
             batch = policy.take_batch(m, queue, rng, wt_expired)

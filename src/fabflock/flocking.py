@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .baseline import choose_batch, pick_uniform, take_batch
-from .engine import Policy
-from .model import Lot, Machine, MachineKind, MultiQueue, WorkcenterView
+# choose_batch and take_batch stay imported: bench/run.py traces them under these names.
+from .baseline import BaselinePolicy, choose_batch, pick_uniform, take_batch  # noqa: F401
+from .model import Lot, Machine, MultiQueue, WorkcenterView
 
 DEFAULT_FLSQ_LEN = 5
 
@@ -122,17 +122,14 @@ def reshuffle_flsq(queue: MultiQueue, view: WorkcenterView, own_index: int,
 
 
 def take_single(machine: Machine, queue: MultiQueue, view: WorkcenterView,
-                rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> Lot | None:
-    """Reshuffle the queue window, then take the new head."""
-    if not queue.lots:
-        return None
+                rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> None:
+    """Reshuffle the queue window; the engine then loads the new head."""
     reshuffle_flsq(queue, view, machine.index, rng, window_len)
-    return queue.lots[0]
 
 
-class FlockingPolicy(Policy):
+class FlockingPolicy(BaselinePolicy):
     """Separation at queue choice, cohesion-in-time at take time; batch
-    decisions delegate to the baseline rules unchanged."""
+    decisions stay the inherited baseline rules."""
 
     name = "flocking"
 
@@ -141,13 +138,8 @@ class FlockingPolicy(Policy):
             raise ValueError("flsq_len must be >= 1")
         self.flsq_len = flsq_len
 
-    def choose_queue(self, lot, view, rng):
-        if view.kind is MachineKind.BATCH:
-            return choose_batch(lot, view, rng)[0]
+    def choose_single(self, lot, view, rng):
         return choose_single(lot, view, rng)
 
     def take_single(self, machine, queue, view, rng):
-        return take_single(machine, queue, view, rng, self.flsq_len)
-
-    def take_batch(self, machine, queue, rng, wt_expired):
-        return take_batch(machine, queue, rng, wt_expired)
+        take_single(machine, queue, view, rng, self.flsq_len)

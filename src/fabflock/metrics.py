@@ -38,11 +38,6 @@ class MetricsSummary:
     utilization: float
 
 
-def makespan(result: RunResult) -> int:
-    """Tick at which the last lot finished."""
-    return max((rec.finish_time for rec in result.lots), default=0)
-
-
 def flow_factor(result: RunResult) -> float:
     """Mean over lots of (queue ticks + process ticks) / process ticks."""
     if not result.lots:
@@ -78,7 +73,7 @@ def tardiness(result: RunResult) -> float:
 
 def utilization(result: RunResult) -> float:
     """Busy machine-ticks over machine count x makespan."""
-    span = makespan(result)
+    span = result.makespan
     if span <= 0 or result.machine_count == 0:
         return 0.0
     return sum(result.busy_ticks.values()) / (result.machine_count * span)
@@ -96,14 +91,9 @@ def histogram_from_times(times, bin_width: int = 10) -> list[tuple[int, int]]:
     return [(b * bin_width, c) for b, c in enumerate(counts)]
 
 
-def finish_histogram(result: RunResult, bin_width: int = 10) -> list[tuple[int, int]]:
-    """Histogram of lot finish times."""
-    return histogram_from_times([rec.finish_time for rec in result.lots], bin_width)
-
-
 def summarize(result: RunResult) -> MetricsSummary:
     return MetricsSummary(
-        makespan=makespan(result),
+        makespan=result.makespan,
         flow_factor=flow_factor(result),
         tardiness=tardiness(result),
         utilization=utilization(result),

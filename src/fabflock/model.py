@@ -213,8 +213,3 @@ def next_step(lot: Lot, recipes: Mapping[int, Recipe]) -> int | None:
 def batch_missing(batch: Batch, batch_size: int) -> int:
     """Lots still needed to fill the batch."""
     return batch_size - len(batch.lots)
-
-
-def queue_total_len(queue: MultiQueue) -> int:
-    """Queued lots, counting batch queues across all their batches."""
-    return queue.total_len()

@@ -13,6 +13,7 @@ Durations are given in hours and must convert to whole ticks under
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -179,9 +180,12 @@ def _parse_int(token: str, line_no: int, what: str) -> int:
 
 def _parse_float(token: str, line_no: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ScenarioError(f"line {line_no}: {what} must be a number, got {token!r}") from None
+    if not math.isfinite(value):
+        raise ScenarioError(f"line {line_no}: {what} must be finite, got {token!r}")
+    return value
 
 
 def _parse_machinetype(tok: list[str], line_no: int, tick_hours: float) -> MachineType:

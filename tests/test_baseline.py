@@ -1,8 +1,11 @@
 import random
 
 from fabflock import baseline
+from fabflock.baseline import BaselinePolicy
+from fabflock.engine import init_run, tick
 
-from support import add_batch, fill_queue, lot, make_batch_wc, make_single_wc
+from support import (add_batch, fill_queue, lot, lots_spec, make_batch_wc, make_single_wc,
+                     scenario_of, single_type)
 
 
 class TestChooseSingle:
@@ -63,23 +66,31 @@ class TestChooseBatch:
 
 
 class TestTakeSingle:
+    """FIFO needs no code: the hook leaves the queue alone and the engine loads
+    the head."""
+
     def test_head_of_queue(self):
         wc = make_single_wc(1)
         a, b, c = fill_queue(wc, 0, [1, 2, 3])
-        taken = baseline.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
-        assert taken is a
-        assert wc.queues[0].lots == [a, b, c]  # policy selects, engine removes
+        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots == [a, b, c]  # policy only reorders, engine removes
+        state = init_run(scenario_of([single_type(rpt=2)], [lots_spec(0, 3, [0])]),
+                         BaselinePolicy(), seed=1)
+        queued = list(state.workcenters[0].queues[0].lots)
+        tick(state)
+        assert state.workcenters[0].machines[0].current_batch == [queued[0]]
+        assert state.workcenters[0].queues[0].lots == queued[1:]
 
     def test_empty_queue(self):
         wc = make_single_wc(1)
-        assert baseline.take_single(wc.machines[0], wc.queues[0], wc.view(),
-                                    random.Random(1)) is None
+        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots == []
 
     def test_last_lot(self):
         wc = make_single_wc(1)
         (x,) = fill_queue(wc, 0, [1])
-        assert baseline.take_single(wc.machines[0], wc.queues[0], wc.view(),
-                                    random.Random(1)) is x
+        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots[0] is x
 
 
 class TestTakeBatch:

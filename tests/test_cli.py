@@ -1,6 +1,10 @@
 import csv
+import os
 import re
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +121,24 @@ class TestExitCodes:
         path = tmp_path / "bad.txt"
         path.write_text("machinetype 0 kind single count 1 rpt_hours 0.25\n")
         assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+
+    def test_non_finite_duration_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("tick_hours nan\nmachinetype 0 kind single count 1 rpt_hours 0.2\n")
+        src = Path(cli.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "fabflock", "--scenario", str(path),
+             "--out", str(tmp_path / "r")],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert done.returncode == 2
+        assert "line 1" in done.stderr and "Traceback" not in done.stderr
+
+    def test_non_utf8_scenario_file(self, tmp_path, capsys):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes("scenario caf\u00e9\n".encode("latin-1"))
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_simulation_abort(self, tmp_path):
         path = tmp_path / "stuck.txt"

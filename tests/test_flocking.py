@@ -164,30 +164,27 @@ class TestReshuffle:
 class TestTakeSingle:
     def test_empty_queue(self):
         wc = make_single_wc(2)
-        assert flocking.take_single(wc.machines[0], wc.queues[0], wc.view(),
-                                    random.Random(1)) is None
+        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots == []
 
     def test_single_lot(self):
         wc = make_single_wc(2)
         (x,) = fill_queue(wc, 0, [4])
-        assert flocking.take_single(wc.machines[0], wc.queues[0], wc.view(),
-                                    random.Random(1)) is x
+        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots[0] is x
 
     def test_same_type_peer_promotes_lot(self):
         wc = make_single_wc(2)
         queued = fill_queue(wc, 0, [1, 7, 2])
         set_processing(wc, 1, lot_type=7)
-        taken = flocking.take_single(wc.machines[0], wc.queues[0], wc.view(),
-                                     random.Random(1))
-        assert taken is queued[1]
-        assert wc.queues[0].lots[0] is taken
+        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots[0] is queued[1]
 
     def test_single_machine_workcenter_is_fifo(self):
         wc = make_single_wc(1)
         queued = fill_queue(wc, 0, [1, 7, 1, 7])
-        taken = flocking.take_single(wc.machines[0], wc.queues[0], wc.view(),
-                                     random.Random(1))
-        assert taken is queued[0]
+        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        assert wc.queues[0].lots[0] is queued[0]
         assert wc.queues[0].lots == queued
 
 

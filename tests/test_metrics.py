@@ -4,11 +4,9 @@ from hypothesis import given, strategies as st
 from fabflock.metrics import (
     LotRecord,
     RunResult,
-    finish_histogram,
     flow_factor,
     flow_factor_global,
     histogram_from_times,
-    makespan,
     summarize,
     tardiness,
     utilization,
@@ -28,14 +26,16 @@ def result(lots, busy=None, machines=1):
 
 
 class TestMakespan:
+    """``summarize`` reads the makespan ``RunResult`` carries."""
+
     def test_max_finish(self):
-        assert makespan(result([rec(0, 10), rec(1, 20), rec(2, 15)])) == 20
+        assert summarize(result([rec(0, 10), rec(1, 20), rec(2, 15)])).makespan == 20
 
     def test_single_lot(self):
-        assert makespan(result([rec(0, 84)])) == 84
+        assert summarize(result([rec(0, 84)])).makespan == 84
 
     def test_empty(self):
-        assert makespan(result([])) == 0
+        assert summarize(result([])).makespan == 0
 
 
 class TestFlowFactor:
@@ -90,10 +90,10 @@ class TestUtilization:
 class TestHistogram:
     def test_edges(self):
         r = result([rec(0, finish=5), rec(1, finish=9), rec(2, finish=10)])
-        assert finish_histogram(r, bin_width=10) == [(0, 2), (10, 1)]
+        assert histogram_from_times([x.finish_time for x in r.lots], 10) == [(0, 2), (10, 1)]
 
     def test_empty(self):
-        assert finish_histogram(result([])) == []
+        assert histogram_from_times([]) == []
 
     def test_bad_width(self):
         with pytest.raises(ValueError):

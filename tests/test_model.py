@@ -8,7 +8,6 @@ from fabflock.model import (
     MachineType,
     batch_missing,
     next_step,
-    queue_total_len,
 )
 from fabflock.scenario import build_small_fab
 
@@ -50,17 +49,17 @@ class TestQueueTotalLen:
         wc = make_batch_wc(1)
         add_batch(wc, 0, lot_type=0, size=2)
         add_batch(wc, 0, lot_type=1, size=4)
-        assert queue_total_len(wc.queues[0]) == 6
+        assert wc.queues[0].total_len() == 6
 
     def test_empty(self):
         wc = make_batch_wc(1)
-        assert queue_total_len(wc.queues[0]) == 0
-        assert queue_total_len(make_single_wc(1).queues[0]) == 0
+        assert wc.queues[0].total_len() == 0
+        assert make_single_wc(1).queues[0].total_len() == 0
 
     def test_single_step_counts_lots(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [0] * 7)
-        assert queue_total_len(wc.queues[0]) == 7
+        assert wc.queues[0].total_len() == 7
 
 
 class TestMachineTypeValidation:

@@ -93,9 +93,17 @@ class TestParse:
         assert sc.total_lots() == 0
 
     def test_non_integral_duration_rejected_with_line(self):
-        bad = "machinetype 0 kind single count 1 rpt_hours 0.25\n"
-        with pytest.raises(ScenarioError, match="line 1"):
-            parse_scenario(bad)
+        cases = [("machinetype 0 kind single count 1 rpt_hours 0.25\n", 1)]
+        for value in ("nan", "inf", "-inf"):  # never a whole number of ticks
+            cases += [
+                (f"scenario x\ntick_hours {value}\n", 2),
+                (f"scenario x\nmachinetype 0 kind single count 1 rpt_hours {value}\n", 2),
+                (f"scenario x\nmachinetype 0 kind batch count 1 rpt_hours 0.4 bs 2 "
+                 f"wt_hours {value}\n", 2),
+            ]
+        for bad, line_no in cases:
+            with pytest.raises(ScenarioError, match=f"line {line_no}:"):
+                parse_scenario(bad)
 
     def test_unknown_recipe_step_rejected_with_line(self):
         bad = TINY + "lottype 2 count 1 recipe 0 9\n"
