@@ -32,7 +32,7 @@ def pick_uniform(items, rng: random.Random):
 
 def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     """Machine with the shortest queue; ties uniform."""
-    lens = [view.queue_len(i) for i in range(len(view))]
+    lens = view.queue_lens()
     shortest = min(lens)
     return pick_uniform([i for i, n in enumerate(lens) if n == shortest], rng)
 

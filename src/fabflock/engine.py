@@ -34,6 +34,7 @@ one per-run ``random.Random``, making a run a pure function of
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .baseline import BaselinePolicy
@@ -60,9 +61,14 @@ class Workcenter:
     mtype: MachineType
     machines: list[Machine]
     queues: list[MultiQueue]
+    _view: WorkcenterView = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._view = WorkcenterView(self.mtype, self.machines, self.queues)
 
     def view(self) -> WorkcenterView:
-        return WorkcenterView(self.mtype, self.machines, self.queues)
+        """The workcenter's one view; it reads the live machines and queues."""
+        return self._view
 
 
 @dataclass
@@ -249,8 +255,9 @@ def audit_state(state: SimState) -> None:
     """Raise AssertionError when a structural invariant is violated.
 
     Checks lot conservation (each lot sits in exactly one queue slot, one
-    machine, or the finished set), batch type purity, batch size bounds, and
-    partial-batch uniqueness per type. Debugging aid; the engine never calls
+    machine, or the finished set), batch type purity, batch size bounds,
+    partial-batch uniqueness per type, and that every single-step queue's
+    per-type counts match its lots. Debugging aid; the engine never calls
     it on its own.
     """
     seen: list[int] = []
@@ -267,6 +274,8 @@ def audit_state(state: SimState) -> None:
                 assert m.busy_remaining == 0, f"{m.label}: idle with remaining time"
             if wc.mtype.kind is MachineKind.SINGLE_STEP:
                 assert not q.batches, f"{m.label}: single-step queue holds batches"
+                assert {t: c for t, c in q.type_counts.items() if c} == \
+                    Counter(l.lot_type for l in q.lots), f"{m.label}: stale type counts"
                 seen.extend(l.id for l in q.lots)
             else:
                 assert not q.lots, f"{m.label}: batch queue holds loose lots"

@@ -34,11 +34,11 @@ DEFAULT_FLSQ_LEN = 5
 def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     """Among the queues with the fewest lots of the lot's own type, take the
     shortest; remaining ties uniform."""
-    counts = [view.type_count(i, lot.lot_type) for i in range(len(view))]
+    counts = view.type_counts(lot.lot_type)
     least = min(counts)
     candidates = [i for i, c in enumerate(counts) if c == least]
-    lens = {i: view.queue_len(i) for i in candidates}
-    shortest = min(lens.values())
+    lens = view.queue_lens()
+    shortest = min(lens[i] for i in candidates)
     return pick_uniform([i for i in candidates if lens[i] == shortest], rng)
 
 
@@ -48,7 +48,9 @@ def first_same_type_distance(lot_type: int, view: WorkcenterView,
 
     0 while the machine processes that type, otherwise the 1-based queue
     position of the first such lot inside the machine's window; None when the
-    type is visible neither on the machine nor in the window.
+    type is visible neither on the machine nor in the window. This is the
+    per-machine rule; ``same_type_distances`` applies it to every other
+    machine and type at once.
     """
     if view.processing_type(machine_index) == lot_type:
         return 0
@@ -88,36 +90,52 @@ def apply_pulls(lots: list[Lot], pulls: dict[int, int],
         pull = pulls.get(lot.id, 0)
         if pull == 0:
             continue
-        i = lots.index(lot)
+        i = 0
+        while lots[i] is not lot:  # by identity: moves never leave the window
+            i += 1
         j = min(max(i + pull, 0), w - 1)
         if j != i:
             lots.pop(i)
             lots.insert(j, lot)
 
 
+def same_type_distances(view: WorkcenterView, own_index: int,
+                        window_len: int) -> dict[int, list[int]]:
+    """Lot type -> ``first_same_type_distance`` of every other machine that
+    shows the type, in machine order, from one pass over the other machines."""
+    distances: dict[int, list[int]] = {}
+    for other in range(len(view)):
+        if other == own_index:
+            continue
+        processing = view.processing_type(other)
+        if processing is not None:
+            distances.setdefault(processing, []).append(0)
+        seen = {processing}
+        for pos, t in enumerate(view.window_types(other, window_len), start=1):
+            if t not in seen:
+                seen.add(t)
+                distances.setdefault(t, []).append(pos)
+    return distances
+
+
 def reshuffle_flsq(queue: MultiQueue, view: WorkcenterView, own_index: int,
                    rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> None:
     """Reorder the window of ``queue`` in place.
 
-    Pulls for all window lots are computed first, against a fixed snapshot of
-    the other machines' windows, then applied via ``apply_pulls``. Only called
-    for the machine about to take a lot; the other queues reorder when their
-    own machine takes.
+    Pulls for all window lots are computed first, against one snapshot of the
+    other machines taken per take: ``same_type_distances`` reads each other
+    machine once, so the work grows with the number of machines, not with
+    machines x window. The pulls are then applied via ``apply_pulls``. Only
+    called for the machine about to take a lot; the other queues reorder when
+    their own machine takes.
     """
     lots = queue.lots
     w = min(window_len, len(lots))
     if w <= 1:
         return
-    pulls: dict[int, int] = {}
-    for pos, lot in enumerate(lots[:w], start=1):
-        distances = []
-        for other in range(len(view)):
-            if other == own_index:
-                continue
-            d = first_same_type_distance(lot.lot_type, view, other, window_len)
-            if d is not None:
-                distances.append(d)
-        pulls[lot.id] = compute_pull(pos, distances)
+    distances = same_type_distances(view, own_index, window_len)
+    pulls = {lot.id: compute_pull(pos, distances.get(lot.lot_type, ()))
+             for pos, lot in enumerate(lots[:w], start=1)}
     apply_pulls(lots, pulls, window_len, rng)
 
 

@@ -108,14 +108,18 @@ class Machine:
 class MultiQueue:
     """Dedicated queue of one machine.
 
-    Single-step owners keep an ordered lot list (index 0 = head). Batch owners
-    keep a list of batches; at most one partial batch exists per lot type, so
-    an arriving lot either tops up its type's partial batch or opens a new one.
+    Single-step owners keep an ordered lot list (index 0 = head) and, in
+    ``type_counts``, how many queued lots each lot type has; ``add_lot`` and
+    ``pop_head`` keep it current, reorders inside ``lots`` leave it valid, and
+    a type whose lots all left keeps a zero entry. Batch owners keep a list of
+    batches; at most one partial batch exists per lot type, so an arriving lot
+    either tops up its type's partial batch or opens a new one.
     """
 
     owner: Machine
     lots: list[Lot] = field(default_factory=list)
     batches: list[Batch] = field(default_factory=list)
+    type_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
 
     def total_len(self) -> int:
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
@@ -128,6 +132,8 @@ class MultiQueue:
     def add_lot(self, lot: Lot) -> None:
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
+            counts = self.type_counts
+            counts[lot.lot_type] = counts.get(lot.lot_type, 0) + 1
             return
         bs = self.owner.mtype.batch_size
         for b in self.batches:
@@ -137,7 +143,9 @@ class MultiQueue:
         self.batches.append(Batch(lot.lot_type, [lot]))
 
     def pop_head(self) -> Lot:
-        return self.lots.pop(0)
+        lot = self.lots.pop(0)
+        self.type_counts[lot.lot_type] -= 1
+        return lot
 
     def remove_batch(self, batch: Batch) -> None:
         for i, b in enumerate(self.batches):
@@ -156,11 +164,13 @@ class MultiQueue:
 
 
 class WorkcenterView:
-    """Read-only snapshot of one workcenter at a single decision instant.
+    """Read-only view of one workcenter's live state.
 
     Policies use it to inspect queue lengths, queued lot types, and what each
-    machine is processing. It reads the live state, so callers must not mutate
-    anything reached through it and must not keep it across ticks.
+    machine is processing. Each workcenter builds one view and hands it to
+    every decision; every read goes to the current machines and queues, so a
+    value read before a queue changes is stale afterwards. Callers must not
+    mutate anything reached through it.
     """
 
     __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues")
@@ -178,9 +188,19 @@ class WorkcenterView:
     def queue_len(self, i: int) -> int:
         return self._queues[i].total_len()
 
+    def queue_lens(self) -> list[int]:
+        """``queue_len`` of every machine, in machine order."""
+        if self.kind is MachineKind.SINGLE_STEP:
+            return [len(q.lots) for q in self._queues]
+        return [q.total_len() for q in self._queues]
+
     def type_count(self, i: int, lot_type: int) -> int:
         """Queued lots of ``lot_type`` at machine ``i`` (single-step queues)."""
-        return sum(1 for lot in self._queues[i].lots if lot.lot_type == lot_type)
+        return self._queues[i].type_counts.get(lot_type, 0)
+
+    def type_counts(self, lot_type: int) -> list[int]:
+        """``type_count`` of every machine, in machine order."""
+        return [q.type_counts.get(lot_type, 0) for q in self._queues]
 
     def processing_type(self, i: int) -> int | None:
         return self._machines[i].processing_type

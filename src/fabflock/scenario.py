@@ -8,7 +8,9 @@ File format (UTF-8, ``#`` starts a comment, blank lines ignored):
     lottype <t> count <n> recipe <m1> <m2> ... <mk>
 
 Durations are given in hours and must convert to whole ticks under
-``tick_hours``; everything downstream runs on integer ticks.
+``tick_hours``; everything downstream runs on integer ticks. Durations,
+machine and lot counts and the total work content are capped by the
+``MAX_*`` limits below; a file beyond one is rejected with its line number.
 """
 
 from __future__ import annotations
@@ -22,6 +24,22 @@ from .model import ConfigError, MachineKind, MachineType, Recipe
 
 class ScenarioError(ConfigError):
     """Scenario file or definition rejected; messages carry line numbers."""
+
+
+# Size limits on a scenario file. They bound the machines and lots a run
+# holds in memory, each process and timer duration, and the work content that
+# the livelock horizon is a multiple of, so no single huge number in a file
+# can keep the tick loop running without end. Each lies far above the small
+# fab scaled ten times (190 machines, 1050 lots, 15-tick steps, 88,200 work
+# ticks).
+#: Ticks of one process or waiting-timer duration.
+MAX_STEP_TICKS = 1_000_000
+#: Machines summed over all machine types.
+MAX_MACHINES = 10_000
+#: Lots summed over all lot types.
+MAX_LOTS = 100_000
+#: Total work content: raw process ticks summed over every lot's recipe.
+MAX_WORK_TICKS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,12 @@ class Scenario:
 
 
 def hours_to_ticks(hours: float, tick_hours: float) -> int:
-    """Convert a duration to ticks, rejecting non-integral results."""
+    """Convert a duration to ticks, rejecting non-integral results and
+    durations beyond ``MAX_STEP_TICKS``."""
     ticks = hours / tick_hours
+    if abs(ticks) > MAX_STEP_TICKS:
+        raise ScenarioError(
+            f"{hours} h is more than {MAX_STEP_TICKS} ticks of {tick_hours} h")
     rounded = round(ticks)
     if abs(ticks - rounded) > 1e-6:
         raise ScenarioError(
@@ -117,6 +139,7 @@ def parse_scenario(text: str) -> Scenario:
     name = None
     machine_types: list[MachineType] = []
     machine_ids: set[int] = set()
+    machines = 0
     for line_no, tok in entries:
         head = tok[0]
         if head == "tick_hours":
@@ -133,11 +156,16 @@ def parse_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"line {line_no}: duplicate machine type {mt.id}")
             machine_ids.add(mt.id)
             machine_types.append(mt)
+            machines += mt.machine_count
+            if machines > MAX_MACHINES:
+                raise ScenarioError(f"line {line_no}: more than {MAX_MACHINES} machines")
         elif head != "lottype":
             raise ScenarioError(f"line {line_no}: unknown directive {head!r}")
 
     lot_specs: list[LotSpec] = []
     lot_ids: set[int] = set()
+    rpt = {mt.id: mt.raw_process_ticks for mt in machine_types}
+    lots = work = 0
     for line_no, tok in entries:
         if tok[0] != "lottype":
             continue
@@ -146,6 +174,13 @@ def parse_scenario(text: str) -> Scenario:
             raise ScenarioError(f"line {line_no}: duplicate lot type {ls.id}")
         lot_ids.add(ls.id)
         lot_specs.append(ls)
+        lots += ls.count
+        if lots > MAX_LOTS:
+            raise ScenarioError(f"line {line_no}: more than {MAX_LOTS} lots")
+        work += ls.count * sum(rpt[m] for m in ls.recipe)
+        if work > MAX_WORK_TICKS:
+            raise ScenarioError(
+                f"line {line_no}: total work content exceeds {MAX_WORK_TICKS} ticks")
 
     scenario = Scenario(name or "unnamed", tick_hours,
                         tuple(machine_types), tuple(lot_specs))

@@ -20,6 +20,17 @@ lottype 1 count 3 recipe 0 1 0
 """
 
 
+def run_cli_process(scenario_path, out_dir, timeout):
+    """``python -m fabflock --runs 1`` on a scenario file in a fresh
+    interpreter; raises ``subprocess.TimeoutExpired`` after ``timeout`` s."""
+    src = Path(cli.__file__).resolve().parents[1]
+    return subprocess.run(
+        [sys.executable, "-m", "fabflock", "--scenario", str(scenario_path),
+         "--runs", "1", "--out", str(out_dir)],
+        capture_output=True, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src)})
+
+
 @pytest.fixture
 def tiny_path(tmp_path):
     path = tmp_path / "tiny.txt"
@@ -125,14 +136,24 @@ class TestExitCodes:
     def test_non_finite_duration_exits_2_without_traceback(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("tick_hours nan\nmachinetype 0 kind single count 1 rpt_hours 0.2\n")
-        src = Path(cli.__file__).resolve().parents[1]
-        done = subprocess.run(
-            [sys.executable, "-m", "fabflock", "--scenario", str(path),
-             "--out", str(tmp_path / "r")],
-            capture_output=True, text=True, timeout=60,
-            env={**os.environ, "PYTHONPATH": str(src)})
+        done = run_cli_process(path, tmp_path / "r", timeout=60)
         assert done.returncode == 2
         assert "line 1" in done.stderr and "Traceback" not in done.stderr
+
+    def test_huge_durations_exit_2_in_bounded_time(self, tmp_path):
+        hostile = {
+            "huge_rpt.txt": ("machinetype 0 kind single count 1 rpt_hours 1e300\n"
+                             "lottype 0 count 1 recipe 0\n", "line 1"),
+            "tiny_tick.txt": ("tick_hours 1e-300\n"
+                              "machinetype 0 kind single count 1 rpt_hours 0.2\n"
+                              "lottype 0 count 1 recipe 0\n", "line 2"),
+        }
+        for name, (text, where) in hostile.items():
+            path = tmp_path / name
+            path.write_text(text)
+            done = run_cli_process(path, tmp_path / "r", timeout=30)
+            assert done.returncode == 2, name
+            assert where in done.stderr and "Traceback" not in done.stderr, name
 
     def test_non_utf8_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "latin1.txt"

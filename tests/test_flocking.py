@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from hypothesis import given, strategies as st
 
@@ -9,8 +10,9 @@ from fabflock.flocking import (
     compute_pull,
     first_same_type_distance,
     reshuffle_flsq,
+    same_type_distances,
 )
-from fabflock.model import Lot
+from fabflock.model import Lot, WorkcenterView
 
 from support import add_batch, fill_queue, lot, make_batch_wc, make_single_wc, set_processing
 
@@ -159,6 +161,113 @@ class TestReshuffle:
         reshuffle_flsq(wc.queues[0], wc.view(), own_index=0, rng=random.Random(1),
                        window_len=5)
         assert wc.queues[0].lots[5:] == queued[5:]
+
+
+def reference_reshuffle(queue, view, own_index, rng, window_len):
+    """The per-lot reshuffle: one ``first_same_type_distance`` per (window
+    lot, other machine), then moves located by equality (``list.index``)."""
+    lots = queue.lots
+    w = min(window_len, len(lots))
+    if w <= 1:
+        return
+    pulls = {}
+    for pos, item in enumerate(lots[:w], start=1):
+        distances = []
+        for other in range(len(view)):
+            if other == own_index:
+                continue
+            d = first_same_type_distance(item.lot_type, view, other, window_len)
+            if d is not None:
+                distances.append(d)
+        pulls[item.id] = compute_pull(pos, distances)
+    order = lots[:w]
+    rng.shuffle(order)
+    for item in order:
+        pull = pulls.get(item.id, 0)
+        if pull == 0:
+            continue
+        i = lots.index(item)
+        j = min(max(i + pull, 0), w - 1)
+        if j != i:
+            lots.pop(i)
+            lots.insert(j, item)
+
+
+N_TYPES = 4
+
+
+@st.composite
+def _workcenter_case(draw):
+    """(queued types per machine, processing type or None per machine,
+    own machine index, window length, seed)."""
+    m = draw(st.integers(1, 6))
+    queues = draw(st.lists(st.lists(st.integers(0, N_TYPES - 1), max_size=8),
+                           min_size=m, max_size=m))
+    processing = draw(st.lists(st.none() | st.integers(0, N_TYPES - 1),
+                               min_size=m, max_size=m))
+    own = draw(st.integers(0, m - 1))
+    window = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2 ** 16))
+    return queues, processing, own, window, seed
+
+
+def _build(queues, processing):
+    wc = make_single_wc(len(queues))
+    for i, (types, proc) in enumerate(zip(queues, processing)):
+        fill_queue(wc, i, types)
+        if proc is not None:
+            set_processing(wc, i, proc)
+    return wc
+
+
+class TestOnePassReshuffle:
+    @given(_workcenter_case())
+    def test_matches_the_per_lot_reference(self, case):
+        queues, processing, own, window, seed = case
+        wc = _build(queues, processing)
+        view = wc.view()
+        distances = same_type_distances(view, own, window)
+        for lot_type in range(N_TYPES + 1):  # N_TYPES is queued nowhere
+            expected = [d for other in range(len(view)) if other != own
+                        and (d := first_same_type_distance(lot_type, view, other,
+                                                           window)) is not None]
+            assert distances.get(lot_type, []) == expected
+
+        queue = wc.queues[own]
+        before = list(queue.lots)
+        rng = random.Random(seed)
+        reshuffle_flsq(queue, view, own, rng, window)
+        got = list(queue.lots)
+        queue.lots[:] = before
+        ref_rng = random.Random(seed)
+        reference_reshuffle(queue, view, own, ref_rng, window)
+        assert all(a is b for a, b in zip(got, queue.lots))
+        assert rng.getstate() == ref_rng.getstate()
+
+    def test_reads_each_other_machine_once(self, monkeypatch):
+        # Full windows everywhere: the per-lot loop would read every other
+        # machine's window once per window lot, 5 x (m - 1) times.
+        m = 6
+        wc = make_single_wc(m)
+        for i in range(m):
+            fill_queue(wc, i, [(i + k) % 3 for k in range(7)])
+        set_processing(wc, 1, 0)
+        calls = Counter()
+        real_window_types = WorkcenterView.window_types
+
+        def window_types(self, i, window_len):
+            calls["window_types"] += 1
+            return real_window_types(self, i, window_len)
+
+        def first_distance(*args):
+            calls["first_same_type_distance"] += 1
+            return first_same_type_distance(*args)
+
+        monkeypatch.setattr(WorkcenterView, "window_types", window_types)
+        monkeypatch.setattr(flocking, "first_same_type_distance", first_distance)
+        reshuffle_flsq(wc.queues[0], wc.view(), 0, random.Random(1))
+        assert calls["window_types"] <= m - 1
+        assert calls["first_same_type_distance"] == 0
 
 
 class TestTakeSingle:

@@ -2,6 +2,10 @@ import pytest
 
 from fabflock.model import MachineKind
 from fabflock.scenario import (
+    MAX_LOTS,
+    MAX_MACHINES,
+    MAX_STEP_TICKS,
+    MAX_WORK_TICKS,
     ScenarioError,
     build_small_fab,
     hours_to_ticks,
@@ -103,6 +107,30 @@ class TestParse:
             ]
         for bad, line_no in cases:
             with pytest.raises(ScenarioError, match=f"line {line_no}:"):
+                parse_scenario(bad)
+
+    def test_size_limits_rejected_with_line(self):
+        def fab(count=1, rpt=1, lots=1):
+            return (f"tick_hours 1\nmachinetype 0 kind single count {count} "
+                    f"rpt_hours {rpt}\nlottype 0 count {lots} recipe 0\n")
+
+        at_limit = [fab(count=MAX_MACHINES, rpt=MAX_STEP_TICKS,
+                        lots=MAX_WORK_TICKS // MAX_STEP_TICKS),
+                    fab(lots=MAX_LOTS)]
+        for text in at_limit:
+            parse_scenario(text)
+        cases = [
+            (fab(rpt=MAX_STEP_TICKS + 1), 2, "ticks"),
+            (fab(count=MAX_MACHINES + 1), 2, "machines"),
+            (fab(lots=MAX_LOTS + 1), 3, "lots"),
+            (fab(rpt=MAX_STEP_TICKS, lots=MAX_WORK_TICKS // MAX_STEP_TICKS + 1), 3, "work"),
+            ("machinetype 0 kind single count 1 rpt_hours 1e300\n", 1, "ticks"),
+            ("tick_hours 1e-300\nmachinetype 0 kind single count 1 rpt_hours 0.2\n", 2, "ticks"),
+            ("machinetype 0 kind batch count 1 rpt_hours 0.4 bs 2 wt_hours 1e300\n", 1, "ticks"),
+            ("machinetype 0 kind single count 1 rpt_hours -1e300\n", 1, "ticks"),
+        ]
+        for bad, line_no, what in cases:
+            with pytest.raises(ScenarioError, match=f"line {line_no}:.*{what}"):
                 parse_scenario(bad)
 
     def test_unknown_recipe_step_rejected_with_line(self):
