@@ -71,8 +71,17 @@ class Workcenter:
         return self._view
 
 
+#: (workcenter, machine, the machine's queue): one entry of the tick loop's
+#: flat machine list.
+Slot = tuple[Workcenter, Machine, MultiQueue]
+
+
 @dataclass
 class SimState:
+    """Live state of one run. ``slots`` lists every machine in workcenter-id
+    then machine-index order, the order every tick phase visits them in, and
+    ``batch_slots`` the batch machines among them; both are built once."""
+
     scenario: Scenario
     policy: BaselinePolicy
     seed: int
@@ -83,11 +92,20 @@ class SimState:
     clock: int = 0
     finished: list[Lot] = field(default_factory=list)
     last_finish_tick: int = 0
+    slots: list[Slot] = field(init=False, repr=False)
+    batch_slots: list[Slot] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.slots = [(wc, m, q)
+                      for _, wc in sorted(self.workcenters.items())
+                      for m, q in zip(wc.machines, wc.queues)]
+        self.batch_slots = [s for s in self.slots
+                            if s[0].mtype.kind is MachineKind.BATCH]
 
 
 def _enqueue(wc: Workcenter, machine_index: int, lot: Lot, clock: int) -> None:
     queue = wc.queues[machine_index]
-    was_empty = queue.is_empty()
+    was_empty = not queue.size
     queue.add_lot(lot)
     lot.enqueue_time = clock
     machine = wc.machines[machine_index]
@@ -140,19 +158,19 @@ def tick(state: SimState) -> SimState:
     clock = state.clock
     rng = state.rng
     policy = state.policy
+    slots = state.slots
 
     # 1: countdown and release
     released: list[Lot] = []
-    for wc in state.workcenters.values():
-        for m in wc.machines:
-            if not m.is_busy:
-                continue
-            m.busy_remaining -= 1
-            if m.busy_remaining == 0:
-                released.extend(m.current_batch)
-                m.current_batch = []
-                if m.mtype.kind is MachineKind.BATCH and not wc.queues[m.index].is_empty():
-                    m.wt_remaining = m.mtype.wt_ticks
+    for _, m, queue in slots:
+        if not m.current_batch:
+            continue
+        m.busy_remaining -= 1
+        if m.busy_remaining == 0:
+            released.extend(m.current_batch)
+            m.current_batch = []
+            if m.mtype.kind is MachineKind.BATCH and queue.size:
+                m.wt_remaining = m.mtype.wt_ticks
 
     # 2: advance cursors, dispatch to next queues
     if released:
@@ -169,14 +187,12 @@ def tick(state: SimState) -> SimState:
                 target = policy.choose_queue(lot, wc.view(), rng)
                 _enqueue(wc, target, lot, clock)
 
-    # 3: idle machines try to start
-    idle = [(wc, m)
-            for wc in state.workcenters.values()
-            for m in wc.machines if not m.is_busy]
+    # 3: idle machines try to start; the shuffled list holds every idle
+    # machine, empty queue or not, so the draws do not depend on occupancy
+    idle = [s for s in slots if not s[1].current_batch]
     rng.shuffle(idle)
-    for wc, m in idle:
-        queue = wc.queues[m.index]
-        if queue.is_empty():
+    for wc, m, queue in idle:
+        if not queue.size:
             continue
         if m.mtype.kind is MachineKind.SINGLE_STEP:
             policy.take_single(m, queue, wc.view(), rng)
@@ -192,27 +208,22 @@ def tick(state: SimState) -> SimState:
             _start(m, batch.lots, clock)
 
     # 4: waiting-timer countdown
-    for wc in state.workcenters.values():
-        if wc.mtype.kind is not MachineKind.BATCH:
+    for _, m, queue in state.batch_slots:
+        if m.current_batch:
             continue
-        for m in wc.machines:
-            if m.is_busy:
-                continue
-            queue = wc.queues[m.index]
-            if queue.is_empty():
-                m.wt_remaining = None
-            else:
-                if m.wt_remaining is None:
-                    m.wt_remaining = m.mtype.wt_ticks
-                if m.wt_remaining > 0 and not queue.has_full_batch():
-                    m.wt_remaining -= 1
+        if not queue.size:
+            m.wt_remaining = None
+        else:
+            if m.wt_remaining is None:
+                m.wt_remaining = m.mtype.wt_ticks
+            if m.wt_remaining > 0 and not queue.has_full_batch():
+                m.wt_remaining -= 1
 
     # 5: clock and busy accounting
     state.clock = clock + 1
-    for wc in state.workcenters.values():
-        for m in wc.machines:
-            if m.is_busy:
-                m.busy_ticks_total += 1
+    for _, m, _ in slots:
+        if m.current_batch:
+            m.busy_ticks_total += 1
     return state
 
 
@@ -223,8 +234,7 @@ def run_to_completion(state: SimState, horizon_factor: int = 100) -> RunResult:
     process ticks of the lot population pass without any lot finishing.
     """
     total = len(state.lots)
-    rpt_by_type = {ls.id: state.scenario.rpt_ticks(ls.id)
-                   for ls in state.scenario.lot_specs}
+    rpt_by_type = state.scenario.rpt_by_type()
     horizon = max(1, horizon_factor * sum(rpt_by_type[l.lot_type] for l in state.lots))
     while len(state.finished) < total:
         if state.clock - state.last_finish_tick > horizon:
@@ -256,9 +266,10 @@ def audit_state(state: SimState) -> None:
 
     Checks lot conservation (each lot sits in exactly one queue slot, one
     machine, or the finished set), batch type purity, batch size bounds,
-    partial-batch uniqueness per type, and that every single-step queue's
-    per-type counts match its lots. Debugging aid; the engine never calls
-    it on its own.
+    partial-batch uniqueness per type, and that every queue's counters match
+    its contents: ``size`` its queued lots, a single-step queue's per-type
+    counts its lots, and a batch queue's ``partial`` map exactly its partial
+    batches. Debugging aid; the engine never calls it on its own.
     """
     seen: list[int] = []
     for wc in state.workcenters.values():
@@ -272,6 +283,8 @@ def audit_state(state: SimState) -> None:
                 seen.extend(l.id for l in m.current_batch)
             else:
                 assert m.busy_remaining == 0, f"{m.label}: idle with remaining time"
+            assert q.size == len(q.lots) + sum(len(b.lots) for b in q.batches), \
+                f"{m.label}: stale queue size"
             if wc.mtype.kind is MachineKind.SINGLE_STEP:
                 assert not q.batches, f"{m.label}: single-step queue holds batches"
                 assert {t: c for t, c in q.type_counts.items() if c} == \
@@ -279,9 +292,12 @@ def audit_state(state: SimState) -> None:
                 seen.extend(l.id for l in q.lots)
             else:
                 assert not q.lots, f"{m.label}: batch queue holds loose lots"
-                partial_types = [b.lot_type for b in q.batches if len(b.lots) < bs]
-                assert len(partial_types) == len(set(partial_types)), \
+                partials = [b for b in q.batches if len(b.lots) < bs]
+                assert len({b.lot_type for b in partials}) == len(partials), \
                     f"{m.label}: two partial batches of one type"
+                assert len(q.partial) == len(partials) and all(
+                    q.partial.get(b.lot_type) is b for b in partials), \
+                    f"{m.label}: stale partial-batch map"
                 for b in q.batches:
                     assert 1 <= len(b.lots) <= bs, f"{m.label}: batch size out of bounds"
                     assert all(l.lot_type == b.lot_type for l in b.lots), \

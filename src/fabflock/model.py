@@ -113,44 +113,73 @@ class MultiQueue:
     ``pop_head`` keep it current, reorders inside ``lots`` leave it valid, and
     a type whose lots all left keeps a zero entry. Batch owners keep a list of
     batches; at most one partial batch exists per lot type, so an arriving lot
-    either tops up its type's partial batch or opens a new one.
+    either tops up its type's partial batch or opens a new one. ``partial``
+    maps each lot type to that partial batch, so every batch not in it is full.
+
+    ``size`` is the number of queued lots of either kind. Lots enter only
+    through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
+    and ``remove_batch``, which keep ``size``, ``type_counts`` and
+    ``partial`` current; a queue is therefore built empty.
     """
 
     owner: Machine
-    lots: list[Lot] = field(default_factory=list)
-    batches: list[Batch] = field(default_factory=list)
+    lots: list[Lot] = field(default_factory=list, init=False)
+    batches: list[Batch] = field(default_factory=list, init=False)
+    size: int = field(default=0, init=False)
     type_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
+    partial: dict[int, Batch] = field(default_factory=dict, init=False, repr=False)
 
     def total_len(self) -> int:
-        if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
-            return len(self.lots)
-        return sum(len(b.lots) for b in self.batches)
+        return self.size
 
     def is_empty(self) -> bool:
-        return self.total_len() == 0
+        return self.size == 0
 
     def add_lot(self, lot: Lot) -> None:
+        self.size += 1
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
             counts = self.type_counts
             counts[lot.lot_type] = counts.get(lot.lot_type, 0) + 1
             return
+        batch = self.partial.get(lot.lot_type)
+        if batch is None:
+            batch = Batch(lot.lot_type, [lot])
+            self.batches.append(batch)
+            self.partial[lot.lot_type] = batch
+        else:
+            batch.lots.append(lot)
+            if len(batch.lots) == self.owner.mtype.batch_size:
+                del self.partial[lot.lot_type]
+
+    def add_batch(self, batch: Batch) -> None:
+        """Append a whole batch to a batch queue; it must hold 1 to
+        ``batch_size`` lots, and a partial one needs its type to have none."""
         bs = self.owner.mtype.batch_size
-        for b in self.batches:
-            if b.lot_type == lot.lot_type and 0 < len(b.lots) < bs:
-                b.lots.append(lot)
-                return
-        self.batches.append(Batch(lot.lot_type, [lot]))
+        if self.owner.mtype.kind is not MachineKind.BATCH:
+            raise ValueError("single-step queues hold no batches")
+        if not 1 <= len(batch.lots) <= bs:
+            raise ValueError(f"a batch holds 1 to {bs} lots, got {len(batch.lots)}")
+        if len(batch.lots) < bs:
+            if batch.lot_type in self.partial:
+                raise ValueError(f"lot type {batch.lot_type} already has a partial batch")
+            self.partial[batch.lot_type] = batch
+        self.batches.append(batch)
+        self.size += len(batch.lots)
 
     def pop_head(self) -> Lot:
         lot = self.lots.pop(0)
         self.type_counts[lot.lot_type] -= 1
+        self.size -= 1
         return lot
 
     def remove_batch(self, batch: Batch) -> None:
         for i, b in enumerate(self.batches):
             if b is batch:
                 del self.batches[i]
+                self.size -= len(batch.lots)
+                if self.partial.get(batch.lot_type) is batch:
+                    del self.partial[batch.lot_type]
                 return
         raise ValueError("batch not in this queue")
 
@@ -159,18 +188,19 @@ class MultiQueue:
         return [b for b in self.batches if len(b.lots) == bs]
 
     def has_full_batch(self) -> bool:
-        bs = self.owner.mtype.batch_size
-        return any(len(b.lots) == bs for b in self.batches)
+        return len(self.batches) > len(self.partial)
 
 
 class WorkcenterView:
     """Read-only view of one workcenter's live state.
 
-    Policies use it to inspect queue lengths, queued lot types, and what each
-    machine is processing. Each workcenter builds one view and hands it to
-    every decision; every read goes to the current machines and queues, so a
-    value read before a queue changes is stale afterwards. Callers must not
-    mutate anything reached through it.
+    Policies use it to inspect queue lengths, queued lot types, partial
+    batches, and what each machine is processing. Each workcenter builds one
+    view and hands it to every decision; every read goes to the current
+    machines and queues, so a value read before a queue changes is stale
+    afterwards. Lengths, type counts and partial batches come from counters
+    the queues keep, so each read costs one lookup per machine, not a scan of
+    the queued lots. Callers must not mutate anything reached through it.
     """
 
     __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues")
@@ -186,13 +216,11 @@ class WorkcenterView:
         return len(self._machines)
 
     def queue_len(self, i: int) -> int:
-        return self._queues[i].total_len()
+        return self._queues[i].size
 
     def queue_lens(self) -> list[int]:
         """``queue_len`` of every machine, in machine order."""
-        if self.kind is MachineKind.SINGLE_STEP:
-            return [len(q.lots) for q in self._queues]
-        return [q.total_len() for q in self._queues]
+        return [q.size for q in self._queues]
 
     def type_count(self, i: int, lot_type: int) -> int:
         """Queued lots of ``lot_type`` at machine ``i`` (single-step queues)."""
@@ -210,12 +238,13 @@ class WorkcenterView:
         return [lot.lot_type for lot in self._queues[i].lots[:window_len]]
 
     def partial_batches(self, lot_type: int) -> list[tuple[int, Batch]]:
-        """(machine index, batch) for every partial batch of ``lot_type``."""
+        """(machine index, batch) for every partial batch of ``lot_type``, in
+        machine order; a queue holds at most one per type."""
         found = []
         for i, q in enumerate(self._queues):
-            for b in q.batches:
-                if b.lot_type == lot_type and 0 < len(b.lots) < self.batch_size:
-                    found.append((i, b))
+            batch = q.partial.get(lot_type)
+            if batch is not None:
+                found.append((i, batch))
         return found
 
 

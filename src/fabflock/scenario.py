@@ -10,7 +10,8 @@ File format (UTF-8, ``#`` starts a comment, blank lines ignored):
 Durations are given in hours and must convert to whole ticks under
 ``tick_hours``; everything downstream runs on integer ticks. Durations,
 machine and lot counts and the total work content are capped by the
-``MAX_*`` limits below; a file beyond one is rejected with its line number.
+``MAX_*`` limits below; a file beyond one is rejected with its line number,
+and ``Scenario.validate`` rejects a scenario built in code beyond one.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from .model import ConfigError, MachineKind, MachineType, Recipe
 
 
 class ScenarioError(ConfigError):
-    """Scenario file or definition rejected; messages carry line numbers."""
+    """Scenario file or definition rejected; messages about a file carry
+    line numbers."""
 
 
-# Size limits on a scenario file. They bound the machines and lots a run
-# holds in memory, each process and timer duration, and the work content that
-# the livelock horizon is a multiple of, so no single huge number in a file
-# can keep the tick loop running without end. Each lies far above the small
-# fab scaled ten times (190 machines, 1050 lots, 15-tick steps, 88,200 work
-# ticks).
+# Size limits on a scenario. They bound the machines and lots a run holds in
+# memory, each process and timer duration, and the work content that the
+# livelock horizon is a multiple of, so no single huge number in a file or in
+# code can keep the tick loop running without end. Each lies far above the
+# small fab scaled ten times (190 machines, 1050 lots, 15-tick steps, 88,200
+# work ticks).
 #: Ticks of one process or waiting-timer duration.
 MAX_STEP_TICKS = 1_000_000
 #: Machines summed over all machine types.
@@ -72,11 +74,17 @@ class Scenario:
 
     def rpt_ticks(self, lot_type: int) -> int:
         """Raw process ticks summed over the lot type's whole recipe."""
+        return self.rpt_by_type()[lot_type]
+
+    def rpt_by_type(self) -> dict[int, int]:
+        """``rpt_ticks`` of every lot type, from one pass over the recipes."""
         types = self.types_by_id()
-        recipe = self.recipes()[lot_type]
-        return sum(types[m].raw_process_ticks for m in recipe)
+        return {lot_type: sum(types[m].raw_process_ticks for m in recipe)
+                for lot_type, recipe in self.recipes().items()}
 
     def validate(self) -> None:
+        """Raise ScenarioError on an inconsistent scenario or one beyond a
+        ``MAX_*`` limit; the parser reports the same limits by line."""
         if self.tick_hours <= 0:
             raise ScenarioError("tick_hours must be positive")
         if not self.machine_types:
@@ -98,6 +106,17 @@ class Scenario:
                 if step not in known:
                     raise ScenarioError(
                         f"lot type {ls.id}: recipe references unknown machine type {step}")
+        for mt in self.machine_types:
+            if max(mt.raw_process_ticks, mt.wt_ticks) > MAX_STEP_TICKS:
+                raise ScenarioError(
+                    f"machine type {mt.id}: a duration exceeds {MAX_STEP_TICKS} ticks")
+        if self.total_machines() > MAX_MACHINES:
+            raise ScenarioError(f"more than {MAX_MACHINES} machines")
+        if self.total_lots() > MAX_LOTS:
+            raise ScenarioError(f"more than {MAX_LOTS} lots")
+        rpt = self.rpt_by_type()
+        if sum(ls.count * rpt[ls.id] for ls in self.lot_specs) > MAX_WORK_TICKS:
+            raise ScenarioError(f"total work content exceeds {MAX_WORK_TICKS} ticks")
 
 
 def hours_to_ticks(hours: float, tick_hours: float) -> int:

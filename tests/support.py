@@ -50,7 +50,7 @@ def set_processing(wc: Workcenter, i: int, lot_type: int) -> Lot:
 
 def add_batch(wc: Workcenter, i: int, lot_type: int, size: int) -> Batch:
     batch = Batch(lot_type, [lot(lot_type) for _ in range(size)])
-    wc.queues[i].batches.append(batch)
+    wc.queues[i].add_batch(batch)
     return batch
 
 

@@ -117,13 +117,16 @@ def test_criterion_4_worked_reshuffle_example():
 def _random_batch_queue(rng, bs=4):
     wc = make_batch_wc(1, bs=bs)
     queue = wc.queues[0]
+    batches = []
     for lot_type in range(4):
         for _ in range(rng.randint(0, 2)):
-            queue.batches.append(Batch(lot_type, [lot(lot_type) for _ in range(bs)]))
+            batches.append(Batch(lot_type, [lot(lot_type) for _ in range(bs)]))
         if rng.random() < 0.6:
             size = rng.randint(1, bs - 1)
-            queue.batches.append(Batch(lot_type, [lot(lot_type) for _ in range(size)]))
-    rng.shuffle(queue.batches)
+            batches.append(Batch(lot_type, [lot(lot_type) for _ in range(size)]))
+    rng.shuffle(batches)
+    for batch in batches:
+        queue.add_batch(batch)
     return wc.machines[0], queue
 
 
@@ -152,8 +155,7 @@ def test_criterion_5_batch_rules_property_and_tie_uniformity():
     for _ in range(10_000):
         wc = make_batch_wc(1, bs=bs)
         for lot_type in range(3):
-            wc.queues[0].batches.append(
-                Batch(lot_type, [lot(lot_type) for _ in range(2)]))
+            wc.queues[0].add_batch(Batch(lot_type, [lot(lot_type) for _ in range(2)]))
         taken = baseline.take_batch(wc.machines[0], wc.queues[0], draw_rng, True)
         counts[taken.lot_type] += 1
     chi = stats.chisquare(list(counts.values()))

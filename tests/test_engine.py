@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,8 @@ from fabflock.engine import (
     tick,
 )
 from fabflock.flocking import FlockingPolicy
-from fabflock.scenario import build_small_fab
+from fabflock.model import MultiQueue
+from fabflock.scenario import ScenarioError, build_small_fab
 
 from support import batch_type, lots_spec, scenario_of, single_type
 
@@ -121,6 +123,12 @@ class TestInitRun:
         with pytest.raises(Exception, match="unknown machine type"):
             init_run(sc, BaselinePolicy(), seed=1)
 
+    def test_rejects_scenario_beyond_a_size_limit(self):
+        # Built in code, so no parser saw it; running it would not end.
+        sc = scenario_of([single_type(0, rpt=10 ** 9)], [lots_spec(0, 1, [0])])
+        with pytest.raises(ScenarioError, match="exceeds"):
+            init_run(sc, BaselinePolicy(), seed=1)
+
 
 class TestDeterminism:
     @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
@@ -164,6 +172,26 @@ class TestRunInvariants:
         result = run(build_small_fab(), BaselinePolicy(), seed=3)
         assert all(rec.finish_time <= result.makespan for rec in result.lots)
         assert len(result.lots) == 105
+
+
+class TestOccupancyReads:
+    @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
+    def test_ticking_never_recounts_a_queue(self, policy_cls, monkeypatch):
+        # The tick loop and the policies read the queues' kept sizes; the
+        # counting methods stay for callers outside the loop.
+        calls = Counter()
+        for name in ("total_len", "is_empty"):
+            real = getattr(MultiQueue, name)
+
+            def counted(self, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(self)
+
+            monkeypatch.setattr(MultiQueue, name, counted)
+        state = init_run(build_small_fab(), policy_cls(), seed=1)
+        while len(state.finished) < len(state.lots):
+            tick(state)
+        assert calls == Counter()
 
 
 class TestLivelockGuard:

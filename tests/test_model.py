@@ -1,11 +1,16 @@
+from collections import Counter
+
 import pytest
+from hypothesis import given, strategies as st
 
 from fabflock.model import (
     Batch,
     ConfigError,
     Lot,
+    Machine,
     MachineKind,
     MachineType,
+    MultiQueue,
     batch_missing,
     next_step,
 )
@@ -59,6 +64,43 @@ class TestQueueTotalLen:
     def test_single_step_counts_lots(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [0] * 7)
+        assert wc.queues[0].total_len() == 7
+
+
+class TestQueueStartsEmpty:
+    def test_constructor_takes_no_lots_or_batches(self):
+        wc = make_single_wc(1)
+        with pytest.raises(TypeError):
+            MultiQueue(owner=wc.machines[0], lots=[Lot(0, 3), Lot(1, 3)])
+        with pytest.raises(TypeError):
+            MultiQueue(owner=make_batch_wc(1).machines[0], batches=[Batch(3, [Lot(0, 3)])])
+
+    def test_counts_agree_for_lots_added_one_by_one(self):
+        wc = make_single_wc(1)
+        fill_queue(wc, 0, [3, 3])
+        view = wc.view()
+        assert view.type_counts(3) == [2]
+        assert view.queue_lens() == [2]
+
+
+class TestMultiQueueAddBatch:
+    def test_rejects_single_step_queue(self):
+        wc = make_single_wc(1)
+        with pytest.raises(ValueError, match="single-step"):
+            wc.queues[0].add_batch(Batch(0, [lot(0)]))
+
+    @pytest.mark.parametrize("size", [0, 5])
+    def test_rejects_size_out_of_bounds(self, size):
+        wc = make_batch_wc(1, bs=4)
+        with pytest.raises(ValueError, match="1 to 4 lots"):
+            wc.queues[0].add_batch(Batch(0, [lot(0) for _ in range(size)]))
+
+    def test_rejects_second_partial_of_a_type(self):
+        wc = make_batch_wc(1, bs=4)
+        add_batch(wc, 0, lot_type=2, size=3)
+        add_batch(wc, 0, lot_type=2, size=4)  # full batches may repeat a type
+        with pytest.raises(ValueError, match="already has a partial batch"):
+            add_batch(wc, 0, lot_type=2, size=1)
         assert wc.queues[0].total_len() == 7
 
 
@@ -138,3 +180,93 @@ class TestWorkcenterView:
         view = wc.view()
         assert view.processing_type(0) == 9
         assert view.processing_type(1) is None
+
+
+# Reference: the scanning reads the queue counters replaced, kept to check them.
+
+def reference_total_len(queue):
+    if queue.owner.mtype.kind is MachineKind.SINGLE_STEP:
+        return len(queue.lots)
+    return sum(len(b.lots) for b in queue.batches)
+
+
+def reference_has_full_batch(queue):
+    bs = queue.owner.mtype.batch_size
+    return any(len(b.lots) == bs for b in queue.batches)
+
+
+def reference_partial_batches(queues, lot_type, batch_size):
+    found = []
+    for i, q in enumerate(queues):
+        for b in q.batches:
+            if b.lot_type == lot_type and 0 < len(b.lots) < batch_size:
+                found.append((i, b))
+    return found
+
+
+def reference_add_lot(batches, item, batch_size):
+    """The scanning ``add_lot`` on a list of (lot type, lot ids) pairs."""
+    for lot_type, ids in batches:
+        if lot_type == item.lot_type and 0 < len(ids) < batch_size:
+            ids.append(item.id)
+            return
+    batches.append((item.lot_type, [item.id]))
+
+
+N_TYPES = 3
+_ops = st.lists(st.tuples(st.sampled_from(["lot", "batch", "pop", "remove"]),
+                          st.integers(0, 1),            # machine
+                          st.integers(0, N_TYPES - 1),  # lot type
+                          st.integers(1, 4),            # batch size drawn
+                          st.integers(0, 99)),          # which batch to remove
+                max_size=60)
+
+
+class TestQueueCountersMatchRecount:
+    @given(st.booleans(), _ops)
+    def test_counters_equal_a_recount(self, batching, ops):
+        bs = 3
+        wc = make_batch_wc(2, bs=bs) if batching else make_single_wc(2)
+        view = wc.view()
+        model = [[], []]  # per machine: lot ids, or (lot type, lot ids) pairs
+        for op, i, lot_type, size, pick in ops:
+            queue = wc.queues[i]
+            if op == "lot":
+                item = lot(lot_type)
+                queue.add_lot(item)
+                if batching:
+                    reference_add_lot(model[i], item, bs)
+                else:
+                    model[i].append(item.id)
+            elif op == "batch" and batching:
+                batch = Batch(lot_type, [lot(lot_type) for _ in range(size)])
+                clash = size < bs and any(t == lot_type and len(l) < bs for t, l in model[i])
+                if size > bs or clash:
+                    with pytest.raises(ValueError):
+                        queue.add_batch(batch)
+                else:
+                    queue.add_batch(batch)
+                    model[i].append((lot_type, [l.id for l in batch.lots]))
+            elif op == "pop" and not batching and model[i]:
+                assert queue.pop_head().id == model[i].pop(0)
+            elif op == "remove" and batching and model[i]:
+                k = pick % len(model[i])
+                queue.remove_batch(queue.batches[k])
+                del model[i][k]
+
+            for q, expected in zip(wc.queues, model):
+                if batching:
+                    assert [(b.lot_type, [l.id for l in b.lots]) for b in q.batches] == expected
+                else:
+                    assert [l.id for l in q.lots] == expected
+                assert q.total_len() == reference_total_len(q)
+                assert q.is_empty() == (reference_total_len(q) == 0)
+                assert q.has_full_batch() == reference_has_full_batch(q)
+                assert dict(Counter(l.lot_type for l in q.lots)) == \
+                    {t: c for t, c in q.type_counts.items() if c}
+            assert view.queue_lens() == [reference_total_len(q) for q in wc.queues]
+            for t in range(N_TYPES):
+                got = view.partial_batches(t)
+                want = reference_partial_batches(wc.queues, t, bs)
+                assert [i for i, _ in got] == [i for i, _ in want]
+                assert all(a is b for (_, a), (_, b) in zip(got, want))

@@ -1,11 +1,13 @@
 import pytest
 
-from fabflock.model import MachineKind
+from fabflock.model import MachineKind, MachineType
 from fabflock.scenario import (
     MAX_LOTS,
     MAX_MACHINES,
     MAX_STEP_TICKS,
     MAX_WORK_TICKS,
+    LotSpec,
+    Scenario,
     ScenarioError,
     build_small_fab,
     hours_to_ticks,
@@ -132,6 +134,31 @@ class TestParse:
         for bad, line_no, what in cases:
             with pytest.raises(ScenarioError, match=f"line {line_no}:.*{what}"):
                 parse_scenario(bad)
+
+    def test_size_limits_checked_on_scenarios_built_in_code(self):
+        def fab(count=1, rpt=1, wt=0, lots=1, recipe=(0,)):
+            machines = [MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=rpt,
+                                    machine_count=count),
+                        MachineType(1, MachineKind.BATCH, raw_process_ticks=1,
+                                    batch_size=2, wt_ticks=wt)]
+            return Scenario("limits", 1.0, tuple(machines), (LotSpec(0, lots, recipe),))
+
+        work_at_limit = (0,) * (MAX_WORK_TICKS // MAX_STEP_TICKS)
+        at_limit = [fab(rpt=MAX_STEP_TICKS), fab(wt=MAX_STEP_TICKS),
+                    fab(count=MAX_MACHINES - 1), fab(lots=MAX_LOTS),
+                    fab(rpt=MAX_STEP_TICKS, recipe=work_at_limit)]
+        for sc in at_limit:
+            sc.validate()
+        cases = [
+            (fab(rpt=MAX_STEP_TICKS + 1), "machine type 0: a duration exceeds"),
+            (fab(wt=MAX_STEP_TICKS + 1), "machine type 1: a duration exceeds"),
+            (fab(count=MAX_MACHINES), "machines"),
+            (fab(lots=MAX_LOTS + 1), "lots"),
+            (fab(rpt=MAX_STEP_TICKS, recipe=work_at_limit + (1,)), "work"),
+        ]
+        for sc, what in cases:
+            with pytest.raises(ScenarioError, match=what):
+                sc.validate()
 
     def test_unknown_recipe_step_rejected_with_line(self):
         bad = TINY + "lottype 2 count 1 recipe 0 9\n"
