@@ -12,6 +12,7 @@ import csv
 import statistics
 import sys
 from pathlib import Path
+from typing import TextIO
 
 from .baseline import BaselinePolicy
 from .engine import SimulationAbort, init_run, run_to_completion
@@ -92,22 +93,22 @@ def _metric_series(results: list[RunResult]) -> dict[str, list[float]]:
     }
 
 
-def aggregate_means(results: dict[str, list[RunResult]]) -> dict[str, dict[str, float]]:
-    """Per-algorithm mean of each metric over its replications."""
-    return {name: {key: statistics.mean(series)
-                   for key, series in _metric_series(runs).items()}
-            for name, runs in results.items()}
+#: Per metric: its name, the mean of every algorithm, and the percent change
+#: of every algorithm after the first against the first.
+ComparisonRow = tuple[str, list[float], list[float]]
 
 
 def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
                    base_seed: int, out_dir, flsq_len: int = DEFAULT_FLSQ_LEN,
                    hist_bin: int = 10, horizon_factor: int = 100,
-                   ) -> dict[str, list[RunResult]]:
+                   table: TextIO | None = None) -> dict[str, list[RunResult]]:
     """Run ``runs`` seeded replications per algorithm and write result CSVs.
 
     Replication r uses seed base_seed + r for every algorithm, pairing runs
     across algorithms and making any single run re-executable in isolation.
-    Returns {algorithm: [RunResult, ...]} in replication order.
+    When ``table`` is given, the comparison table is also printed to it once
+    every CSV is written. Returns {algorithm: [RunResult, ...]} in
+    replication order.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,30 +153,28 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
         emit_csv(hist, out / f"histogram_{name}.csv", ["bin_start", "count"])
 
     first = algorithms[0]
+    comparison: list[ComparisonRow] = [
+        (key, [means[name][key] for name in algorithms],
+         [percent_change(means[first][key], means[name][key]) for name in algorithms[1:]])
+        for key in METRIC_KEYS]
     comp_header = ["metric"] + list(algorithms) + \
         [f"change_{name}_pct" for name in algorithms[1:]]
-    comp_rows = []
-    for key in METRIC_KEYS:
-        row = [key] + [_fmt(means[name][key]) for name in algorithms]
-        row += [_fmt(percent_change(means[first][key], means[name][key]))
-                for name in algorithms[1:]]
-        comp_rows.append(row)
-    emit_csv(comp_rows, out / "comparison.csv", comp_header)
-
+    emit_csv([[key] + [_fmt(v) for v in values + changes]
+              for key, values, changes in comparison],
+             out / "comparison.csv", comp_header)
+    if table is not None:
+        _print_table(algorithms, comparison, table)
     return results
 
 
-def _print_table(algorithms: list[str], means: dict[str, dict[str, float]]) -> None:
-    first = algorithms[0]
+def _print_table(algorithms: list[str], comparison: list[ComparisonRow],
+                 file: TextIO) -> None:
     header = f"{'metric':<16}" + "".join(f"{name:>14}" for name in algorithms)
     header += "".join(f"{'chg ' + name + ' %':>16}" for name in algorithms[1:])
-    print(header)
-    for key in METRIC_KEYS:
-        line = f"{key:<16}" + "".join(f"{means[name][key]:>14.4f}" for name in algorithms)
-        line += "".join(
-            f"{percent_change(means[first][key], means[name][key]):>+16.2f}"
-            for name in algorithms[1:])
-        print(line)
+    print(header, file=file)
+    for key, values, changes in comparison:
+        print(f"{key:<16}" + "".join(f"{v:>14.4f}" for v in values)
+              + "".join(f"{c:>+16.2f}" for c in changes), file=file)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -227,10 +226,9 @@ def main(argv=None) -> int:
         return EXIT_SCENARIO
 
     try:
-        results = run_experiment(scenario, algorithms, args.runs, args.seed,
-                                 args.out, flsq_len=args.flsq_len,
-                                 hist_bin=args.hist_bin,
-                                 horizon_factor=args.horizon_factor)
+        run_experiment(scenario, algorithms, args.runs, args.seed, args.out,
+                       flsq_len=args.flsq_len, hist_bin=args.hist_bin,
+                       horizon_factor=args.horizon_factor, table=sys.stdout)
     except SimulationAbort as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_SIM
@@ -238,7 +236,6 @@ def main(argv=None) -> int:
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    _print_table(algorithms, aggregate_means(results))
     print(f"results written to {Path(args.out).resolve()}")
     return EXIT_OK
 

@@ -35,9 +35,11 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from .baseline import BaselinePolicy
+from .flocking import first_same_type_distance
 from .metrics import LotRecord, RunResult
 from .model import (
     Lot,
@@ -169,6 +171,7 @@ def tick(state: SimState) -> SimState:
         if m.busy_remaining == 0:
             released.extend(m.current_batch)
             m.current_batch = []
+            queue.changed.add(m.index)
             if m.mtype.kind is MachineKind.BATCH and queue.size:
                 m.wt_remaining = m.mtype.wt_ticks
 
@@ -269,7 +272,11 @@ def audit_state(state: SimState) -> None:
     partial-batch uniqueness per type, and that every queue's counters match
     its contents: ``size`` its queued lots, a single-step queue's per-type
     counts its lots, and a batch queue's ``partial`` map exactly its partial
-    batches. Debugging aid; the engine never calls it on its own.
+    batches. Where a workcenter view has built its same-type distance index,
+    checks it without changing it: every machine not in ``changed`` holds
+    the ``first_same_type_distance`` of each lot type, and the per-type
+    counts and sums equal those of the held maps. Debugging aid; the engine
+    never calls it on its own.
     """
     seen: list[int] = []
     for wc in state.workcenters.values():
@@ -303,5 +310,26 @@ def audit_state(state: SimState) -> None:
                     assert all(l.lot_type == b.lot_type for l in b.lots), \
                         f"{m.label}: mixed lot types in batch"
                     seen.extend(l.id for l in b.lots)
+        _audit_distance_index(wc.view(), state.recipes)
     seen.extend(l.id for l in state.finished)
     assert sorted(seen) == sorted(l.id for l in state.lots), "lot conservation violated"
+
+
+def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> None:
+    window = view.dist_window
+    if window is None:
+        return
+    counts: Counter = Counter()
+    sums: Counter = Counter()
+    for i, held in enumerate(view.dist_maps):
+        if i not in view.changed:
+            fresh = {t: d for t in lot_types
+                     if (d := first_same_type_distance(t, view, i, window)) is not None}
+            assert held == fresh, f"machine {i} of workcenter {view.type_id}: " \
+                "stale same-type distances without a mark"
+        counts.update(held.keys())
+        sums.update(held)
+    for t in set(counts) | set(view.dist_counts):
+        assert (view.dist_counts.get(t, 0), view.dist_sums.get(t, 0)) == \
+            (counts[t], sums[t]), \
+            f"workcenter {view.type_id}: stale distance count or sum of type {t}"

@@ -17,6 +17,23 @@ the head), a closer lot +1 (one place toward the back), otherwise 0. Moves
 are applied in random visit order, so an earlier insertion can displace a lot
 before its own move; the resulting fuzzy drift is intended. Lots beyond the
 window never move.
+
+The distances come from the workcenter view's same-type distance index
+(``WorkcenterView.distance_index``), so a take costs O(window + machines
+changed since the last take at the workcenter), not O(machines x window).
+The index keeps, per machine, its ``{lot type: distance}`` map and, per lot
+type, the count and sum of those distances; it re-derives only the machines
+in ``view.changed``, a set every queue of the workcenter holds as
+``queue.changed``.
+
+The marking contract: whatever changes a single-step machine's queue window
+or processing type adds the machine's index to that set. ``add_lot`` and
+``pop_head`` mark their queue's owner, the engine marks a machine when it
+releases its lot (a start always follows the ``pop_head`` that marked it),
+and ``reshuffle_flsq`` marks the machine whose window it reordered. Code that
+sets ``current_batch`` or reorders ``queue.lots`` outside these paths, such
+as a test building a state by hand, must mark the machine itself;
+``engine.audit_state`` fails on an unmarked machine whose entry is stale.
 """
 
 from __future__ import annotations
@@ -49,8 +66,8 @@ def first_same_type_distance(lot_type: int, view: WorkcenterView,
     0 while the machine processes that type, otherwise the 1-based queue
     position of the first such lot inside the machine's window; None when the
     type is visible neither on the machine nor in the window. This is the
-    per-machine rule; ``same_type_distances`` applies it to every other
-    machine and type at once.
+    per-machine rule; the view's distance index (``model.machine_distances``)
+    applies it to every type of a machine at once.
     """
     if view.processing_type(machine_index) == lot_type:
         return 0
@@ -60,19 +77,24 @@ def first_same_type_distance(lot_type: int, view: WorkcenterView,
     return None
 
 
+def pull_from_totals(own_distance: int, count: int, total: int) -> int:
+    """Pull in {-1, 0, +1} against ``count`` other machines whose distances
+    sum to ``total``: -1 when the lot sits farther out than their average,
+    +1 when closer, 0 on a tie. With no other machine both sides are 0, so
+    the pull is 0. Exact integer comparison."""
+    scaled = own_distance * count
+    if scaled > total:
+        return -1
+    if scaled < total:
+        return 1
+    return 0
+
+
 def compute_pull(own_distance: int, other_distances: Sequence[int]) -> int:
     """Pull in {-1, 0, +1}: -1 when the lot sits farther out than the average
     same-type distance at the other machines, +1 when closer, 0 on a tie or
-    when no other machine contributes. Exact integer comparison."""
-    n = len(other_distances)
-    if n == 0:
-        return 0
-    total = sum(other_distances)
-    if own_distance * n > total:
-        return -1
-    if own_distance * n < total:
-        return 1
-    return 0
+    when no other machine contributes."""
+    return pull_from_totals(own_distance, len(other_distances), sum(other_distances))
 
 
 def apply_pulls(lots: list[Lot], pulls: dict[int, int],
@@ -99,44 +121,31 @@ def apply_pulls(lots: list[Lot], pulls: dict[int, int],
             lots.insert(j, lot)
 
 
-def same_type_distances(view: WorkcenterView, own_index: int,
-                        window_len: int) -> dict[int, list[int]]:
-    """Lot type -> ``first_same_type_distance`` of every other machine that
-    shows the type, in machine order, from one pass over the other machines."""
-    distances: dict[int, list[int]] = {}
-    for other in range(len(view)):
-        if other == own_index:
-            continue
-        processing = view.processing_type(other)
-        if processing is not None:
-            distances.setdefault(processing, []).append(0)
-        seen = {processing}
-        for pos, t in enumerate(view.window_types(other, window_len), start=1):
-            if t not in seen:
-                seen.add(t)
-                distances.setdefault(t, []).append(pos)
-    return distances
-
-
 def reshuffle_flsq(queue: MultiQueue, view: WorkcenterView, own_index: int,
                    rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> None:
     """Reorder the window of ``queue`` in place.
 
     Pulls for all window lots are computed first, against one snapshot of the
-    other machines taken per take: ``same_type_distances`` reads each other
-    machine once, so the work grows with the number of machines, not with
-    machines x window. The pulls are then applied via ``apply_pulls``. Only
-    called for the machine about to take a lot; the other queues reorder when
-    their own machine takes.
+    other machines: the view's distance index gives, per lot type, how many
+    machines show it and the sum of their distances, and subtracting the own
+    machine's entry leaves the other machines'. Every window lot's type is in
+    the own machine's entry, since the window is the own machine's window.
+    The pulls are then applied via ``apply_pulls``, and the own machine is
+    marked changed. Only called for the machine about to take a lot; the
+    other queues reorder when their own machine takes.
     """
     lots = queue.lots
     w = min(window_len, len(lots))
     if w <= 1:
         return
-    distances = same_type_distances(view, own_index, window_len)
-    pulls = {lot.id: compute_pull(pos, distances.get(lot.lot_type, ()))
-             for pos, lot in enumerate(lots[:w], start=1)}
+    maps, counts, sums = view.distance_index(window_len)
+    own = maps[own_index]
+    pulls = {}
+    for pos, lot in enumerate(lots[:w], start=1):
+        t = lot.lot_type
+        pulls[lot.id] = pull_from_totals(pos, counts[t] - 1, sums[t] - own[t])
     apply_pulls(lots, pulls, window_len, rng)
+    view.changed.add(own_index)
 
 
 def take_single(machine: Machine, queue: MultiQueue, view: WorkcenterView,

@@ -120,6 +120,10 @@ class MultiQueue:
     through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
     and ``remove_batch``, which keep ``size``, ``type_counts`` and
     ``partial`` current; a queue is therefore built empty.
+
+    ``changed`` is the ``WorkcenterView.changed`` set of the owner's
+    workcenter (the view adopts every queue it is built over); ``add_lot``
+    and ``pop_head`` add the owner's index to it for single-step queues.
     """
 
     owner: Machine
@@ -128,6 +132,7 @@ class MultiQueue:
     size: int = field(default=0, init=False)
     type_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
     partial: dict[int, Batch] = field(default_factory=dict, init=False, repr=False)
+    changed: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
 
     def total_len(self) -> int:
         return self.size
@@ -141,6 +146,7 @@ class MultiQueue:
             self.lots.append(lot)
             counts = self.type_counts
             counts[lot.lot_type] = counts.get(lot.lot_type, 0) + 1
+            self.changed.add(self.owner.index)
             return
         batch = self.partial.get(lot.lot_type)
         if batch is None:
@@ -171,6 +177,7 @@ class MultiQueue:
         lot = self.lots.pop(0)
         self.type_counts[lot.lot_type] -= 1
         self.size -= 1
+        self.changed.add(self.owner.index)
         return lot
 
     def remove_batch(self, batch: Batch) -> None:
@@ -201,9 +208,16 @@ class WorkcenterView:
     afterwards. Lengths, type counts and partial batches come from counters
     the queues keep, so each read costs one lookup per machine, not a scan of
     the queued lots. Callers must not mutate anything reached through it.
+
+    The view also keeps the same-type distance index of one window length
+    that ``distance_index`` returns. ``changed`` holds the indices of the
+    machines whose entry must be re-derived before the next read; it starts
+    with every machine, and the ``flocking`` module docstring states who
+    adds to it.
     """
 
-    __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues")
+    __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues", "changed",
+                 "dist_window", "dist_maps", "dist_counts", "dist_sums")
 
     def __init__(self, mtype: MachineType, machines: list[Machine], queues: list[MultiQueue]):
         self.type_id = mtype.id
@@ -211,6 +225,16 @@ class WorkcenterView:
         self.batch_size = mtype.batch_size
         self._machines = machines
         self._queues = queues
+        self.changed: set[int] = set(range(len(machines)))
+        for q in queues:
+            q.changed = self.changed
+        #: Window length of the index; None until ``distance_index`` builds it.
+        self.dist_window: int | None = None
+        #: Per machine, ``machine_distances`` as of its last re-derivation.
+        self.dist_maps: list[dict[int, int]] = []
+        #: Lot type -> machines whose map holds it, and the sum of their distances.
+        self.dist_counts: dict[int, int] = {}
+        self.dist_sums: dict[int, int] = {}
 
     def __len__(self) -> int:
         return len(self._machines)
@@ -237,6 +261,33 @@ class WorkcenterView:
         """Lot types of the first ``window_len`` queued lots at machine ``i``."""
         return [lot.lot_type for lot in self._queues[i].lots[:window_len]]
 
+    def distance_index(self, window_len: int
+                       ) -> tuple[list[dict[int, int]], dict[int, int], dict[int, int]]:
+        """``(dist_maps, dist_counts, dist_sums)`` for ``window_len``, current.
+
+        Re-derives only the machines in ``changed``; a window length other
+        than the last one rebuilds every machine. The caller must not mutate
+        the returned containers.
+        """
+        maps, counts, sums = self.dist_maps, self.dist_counts, self.dist_sums
+        if window_len != self.dist_window:
+            self.dist_window = window_len
+            maps[:] = [{} for _ in self._machines]
+            counts.clear()
+            sums.clear()
+            self.changed.update(range(len(maps)))
+        for i in self.changed:
+            for t, d in maps[i].items():
+                counts[t] -= 1
+                sums[t] -= d
+            fresh = machine_distances(self._machines[i], self._queues[i], window_len)
+            for t, d in fresh.items():
+                counts[t] = counts.get(t, 0) + 1
+                sums[t] = sums.get(t, 0) + d
+            maps[i] = fresh
+        self.changed.clear()
+        return maps, counts, sums
+
     def partial_batches(self, lot_type: int) -> list[tuple[int, Batch]]:
         """(machine index, batch) for every partial batch of ``lot_type``, in
         machine order; a queue holds at most one per type."""
@@ -246,6 +297,18 @@ class WorkcenterView:
             if batch is not None:
                 found.append((i, batch))
         return found
+
+
+def machine_distances(machine: Machine, queue: MultiQueue, window_len: int) -> dict[int, int]:
+    """Lot type -> distance from ``machine`` to its nearest lot of the type:
+    0 for the type it processes, otherwise the 1-based position of the type's
+    first lot among the first ``window_len`` queued lots. Types visible
+    neither way are absent. ``flocking.first_same_type_distance`` states the
+    same rule for one type."""
+    found = {machine.current_batch[0].lot_type: 0} if machine.current_batch else {}
+    for pos, lot in enumerate(queue.lots[:window_len], start=1):
+        found.setdefault(lot.lot_type, pos)
+    return found
 
 
 def next_step(lot: Lot, recipes: Mapping[int, Recipe]) -> int | None:

@@ -123,7 +123,9 @@ def hours_to_ticks(hours: float, tick_hours: float) -> int:
     """Convert a duration to ticks, rejecting non-integral results and
     durations beyond ``MAX_STEP_TICKS``."""
     ticks = hours / tick_hours
-    if abs(ticks) > MAX_STEP_TICKS:
+    # Half a tick of slack: a quotient a rounding error above the limit is
+    # still the limit. Checked before rounding, since round(inf) raises.
+    if abs(ticks) > MAX_STEP_TICKS + 0.5:
         raise ScenarioError(
             f"{hours} h is more than {MAX_STEP_TICKS} ticks of {tick_hours} h")
     rounded = round(ticks)
@@ -208,16 +210,23 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def serialize_scenario(scenario: Scenario) -> str:
-    """Render a scenario in the file format; parse_scenario inverts it."""
+    """Render a scenario in the file format; parse_scenario inverts it.
+
+    ``tick_hours`` is written in its shortest exact form, so it parses back
+    to the same float. A duration is written with 15 significant digits:
+    enough for every whole tick count up to ``MAX_STEP_TICKS`` to parse back
+    well within ``hours_to_ticks``' tolerance, and short for round values.
+    """
+    tick_hours = scenario.tick_hours
     lines = [
         f"scenario {scenario.name}",
-        f"tick_hours {scenario.tick_hours:g}",
+        f"tick_hours {tick_hours!r}",
     ]
     for mt in scenario.machine_types:
         line = (f"machinetype {mt.id} kind {mt.kind.value} count {mt.machine_count}"
-                f" rpt_hours {mt.raw_process_ticks * scenario.tick_hours:g}")
+                f" rpt_hours {mt.raw_process_ticks * tick_hours:.15g}")
         if mt.kind is MachineKind.BATCH:
-            line += f" bs {mt.batch_size} wt_hours {mt.wt_ticks * scenario.tick_hours:g}"
+            line += f" bs {mt.batch_size} wt_hours {mt.wt_ticks * tick_hours:.15g}"
         lines.append(line)
     for ls in scenario.lot_specs:
         steps = " ".join(str(s) for s in ls.recipe)

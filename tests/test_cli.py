@@ -196,6 +196,26 @@ class TestComparison:
             assert float(row["change_flocking_pct"]) == pytest.approx(expected, abs=1e-6)
 
 
+#: Standard output of ``python -m fabflock --runs 2 --seed 1`` before its last
+#: line, which names the output directory.
+SMALLFAB_RUNS_2_TABLE = """\
+metric                baseline      flocking  chg flocking %
+makespan_ticks        321.0000      321.0000           +0.00
+flow_factor             3.0376        3.0043           +1.10
+tardiness_ticks       171.1571      168.3619           +1.63
+utilization             0.6936        0.6948           -0.18
+"""
+
+
+class TestPrintedTable:
+    def test_smallfab_table_is_pinned(self, tmp_path, capsys):
+        out = tmp_path / "results"
+        assert cli.main(["--runs", "2", "--seed", "1", "--out", str(out)]) == 0
+        table, _, last = capsys.readouterr().out.rpartition("results written to ")
+        assert table == SMALLFAB_RUNS_2_TABLE
+        assert last == f"{out.resolve()}\n"
+
+
 class TestMakePolicy:
     def test_flsq_len_is_wired_through(self):
         policy = cli.make_policy("flocking", flsq_len=9)

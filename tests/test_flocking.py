@@ -1,20 +1,28 @@
 import random
-from collections import Counter
+from types import SimpleNamespace
 
 from hypothesis import given, strategies as st
 
-from fabflock import baseline, flocking
+from fabflock import baseline, flocking, model
 from fabflock.flocking import (
     FlockingPolicy,
     apply_pulls,
     compute_pull,
     first_same_type_distance,
+    pull_from_totals,
     reshuffle_flsq,
-    same_type_distances,
 )
 from fabflock.model import Lot, WorkcenterView
 
-from support import add_batch, fill_queue, lot, make_batch_wc, make_single_wc, set_processing
+from support import (
+    add_batch,
+    fill_queue,
+    lot,
+    make_batch_wc,
+    make_single_wc,
+    set_idle,
+    set_processing,
+)
 
 
 class TestChooseSingle:
@@ -94,6 +102,11 @@ class TestComputePull:
     def test_mean_invariance_under_duplication(self, d, ds, k):
         assert compute_pull(d, ds) == compute_pull(d, ds * k)
 
+    @given(d=st.integers(0, 10), ds=st.lists(st.integers(0, 10), max_size=8))
+    def test_integer_form_compares_against_the_mean(self, d, ds):
+        mean_rule = 0 if not ds else (d < sum(ds) / len(ds)) - (d > sum(ds) / len(ds))
+        assert pull_from_totals(d, len(ds), sum(ds)) == mean_rule
+
 
 @st.composite
 def _window_case(draw):
@@ -161,6 +174,25 @@ class TestReshuffle:
         reshuffle_flsq(wc.queues[0], wc.view(), own_index=0, rng=random.Random(1),
                        window_len=5)
         assert wc.queues[0].lots[5:] == queued[5:]
+
+
+def same_type_distances(view, own_index, window_len):
+    """Lot type -> ``first_same_type_distance`` of every other machine that
+    shows the type, in machine order, from one pass over the other machines:
+    the reference for the view's distance index."""
+    distances = {}
+    for other in range(len(view)):
+        if other == own_index:
+            continue
+        processing = view.processing_type(other)
+        if processing is not None:
+            distances.setdefault(processing, []).append(0)
+        seen = {processing}
+        for pos, t in enumerate(view.window_types(other, window_len), start=1):
+            if t not in seen:
+                seen.add(t)
+                distances.setdefault(t, []).append(pos)
+    return distances
 
 
 def reference_reshuffle(queue, view, own_index, rng, window_len):
@@ -244,30 +276,99 @@ class TestOnePassReshuffle:
         assert all(a is b for a, b in zip(got, queue.lots))
         assert rng.getstate() == ref_rng.getstate()
 
-    def test_reads_each_other_machine_once(self, monkeypatch):
-        # Full windows everywhere: the per-lot loop would read every other
-        # machine's window once per window lot, 5 x (m - 1) times.
+
+def _check_index_against_reference(wc, window):
+    """The index's maps equal ``first_same_type_distance``, and its (count,
+    total) less each own machine's entry equal ``same_type_distances``."""
+    view = wc.view()
+    maps, counts, sums = view.distance_index(window)
+    for own in range(len(view)):
+        assert maps[own] == {t: d for t in range(N_TYPES) if (
+            d := first_same_type_distance(t, view, own, window)) is not None}
+        reference = same_type_distances(view, own, window)
+        for t in range(N_TYPES + 1):
+            ds = reference.get(t, [])
+            own_d = maps[own].get(t)
+            got = (counts.get(t, 0) - (own_d is not None),
+                   sums.get(t, 0) - (own_d or 0))
+            assert got == (len(ds), sum(ds))
+
+
+_M = 4
+_step = st.one_of(
+    st.tuples(st.just("add"), st.integers(0, _M - 1), st.integers(0, N_TYPES - 1)),
+    st.tuples(st.just("pop"), st.integers(0, _M - 1)),
+    st.tuples(st.just("reshuffle"), st.integers(0, _M - 1), st.integers(0, 2 ** 16)),
+    st.tuples(st.just("start"), st.integers(0, _M - 1), st.integers(0, N_TYPES - 1)),
+    st.tuples(st.just("release"), st.integers(0, _M - 1)),
+    st.tuples(st.just("window"), st.integers(1, 6)),
+)
+
+
+class TestDistanceIndex:
+    @given(st.lists(_step, max_size=40), st.integers(1, 6))
+    def test_stays_equal_to_the_reference_under_any_interleaving(self, steps, window):
+        wc = make_single_wc(_M)
+        view = wc.view()
+        _check_index_against_reference(wc, window)
+        for step in steps:
+            op, arg = step[0], step[1:]
+            if op == "add":
+                fill_queue(wc, arg[0], [arg[1]])
+            elif op == "pop" and wc.queues[arg[0]].lots:
+                wc.queues[arg[0]].pop_head()
+            elif op == "reshuffle":
+                i, seed = arg
+                queue = wc.queues[i]
+                expected = SimpleNamespace(lots=list(queue.lots))
+                ref_rng = random.Random(seed)
+                reference_reshuffle(expected, view, i, ref_rng, window)
+                rng = random.Random(seed)
+                reshuffle_flsq(queue, view, i, rng, window)
+                assert all(a is b for a, b in zip(queue.lots, expected.lots))
+                assert rng.getstate() == ref_rng.getstate()
+            elif op == "start" and not wc.machines[arg[0]].current_batch:
+                set_processing(wc, arg[0], arg[1])
+            elif op == "release":
+                set_idle(wc, arg[0])
+            elif op == "window":
+                window = arg[0]
+            _check_index_against_reference(wc, window)
+
+    def test_a_take_re_derives_only_the_changed_machines(self, monkeypatch):
+        # Full windows everywhere: rebuilding the picture per take would read
+        # every machine. After a warm-up take, machines 0 (its head loaded),
+        # 3 (one lot enqueued) and 5 (a lot started) changed; the next take,
+        # at machine 2, must re-derive exactly those three.
         m = 6
         wc = make_single_wc(m)
         for i in range(m):
             fill_queue(wc, i, [(i + k) % 3 for k in range(7)])
         set_processing(wc, 1, 0)
-        calls = Counter()
-        real_window_types = WorkcenterView.window_types
+        view = wc.view()
+        reshuffle_flsq(wc.queues[0], view, 0, random.Random(1))
+        wc.queues[0].pop_head()
+        fill_queue(wc, 3, [1])
+        set_processing(wc, 5, 2)
 
-        def window_types(self, i, window_len):
-            calls["window_types"] += 1
-            return real_window_types(self, i, window_len)
+        derived = []
+        real_machine_distances = model.machine_distances
 
-        def first_distance(*args):
-            calls["first_same_type_distance"] += 1
-            return first_same_type_distance(*args)
+        def machine_distances(machine, queue, window_len):
+            derived.append(machine.index)
+            return real_machine_distances(machine, queue, window_len)
 
-        monkeypatch.setattr(WorkcenterView, "window_types", window_types)
-        monkeypatch.setattr(flocking, "first_same_type_distance", first_distance)
-        reshuffle_flsq(wc.queues[0], wc.view(), 0, random.Random(1))
-        assert calls["window_types"] <= m - 1
-        assert calls["first_same_type_distance"] == 0
+        def reads(*args):
+            raise AssertionError("a take read a machine through the view")
+
+        monkeypatch.setattr(model, "machine_distances", machine_distances)
+        monkeypatch.setattr(WorkcenterView, "window_types", reads)
+        monkeypatch.setattr(WorkcenterView, "processing_type", reads)
+        reshuffle_flsq(wc.queues[2], view, 2, random.Random(1))
+        assert sorted(derived) == [0, 3, 5]
+        derived.clear()
+        reshuffle_flsq(wc.queues[2], view, 2, random.Random(1), window_len=4)
+        assert sorted(derived) == list(range(m))  # another window rebuilds all
 
 
 class TestTakeSingle:

@@ -1,4 +1,7 @@
+import string
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fabflock.model import MachineKind, MachineType
 from fabflock.scenario import (
@@ -208,3 +211,62 @@ class TestParse:
         text = "\n# comment\nmachinetype 0 kind single count 1 rpt_hours 0.2  # trailing\n\n"
         sc = parse_scenario(text)
         assert sc.machine_types[0].raw_process_ticks == 2
+
+
+#: Tokens the parser branches on, mixed with malformed numbers and words, so
+#: generated text reaches past the first directive.
+_TOKENS = ["scenario", "tick_hours", "machinetype", "lottype", "kind", "single",
+           "batch", "count", "rpt_hours", "bs", "wt_hours", "recipe", "#", "0", "1",
+           "2", "-1", "0.1", "0.2", "1e300", "1e-300", "-0", "nan", "inf", "1_0",
+           "9" * 5000, "0x1", "", "\u00e9", "\u0663"]
+_lines = st.lists(st.one_of(st.sampled_from(_TOKENS), st.text(max_size=6)), max_size=12)
+_texts = st.one_of(st.text(), st.lists(_lines, max_size=10).map(
+    lambda lines: "\n".join(" ".join(line) for line in lines)))
+
+
+@st.composite
+def _valid_scenarios(draw):
+    """Scenarios ``Scenario.validate`` accepts, up to the ``MAX_*`` limits."""
+    tick_hours = draw(st.floats(1e-6, 1e3))
+    machine_types = []
+    ids = draw(st.lists(st.integers(-10, 10 ** 6), min_size=1, max_size=4, unique=True))
+    for mid in ids:
+        count = draw(st.integers(1, MAX_MACHINES // 4))
+        rpt = draw(st.integers(1, MAX_STEP_TICKS))
+        if draw(st.booleans()):
+            machine_types.append(MachineType(mid, MachineKind.SINGLE_STEP, rpt,
+                                             machine_count=count))
+        else:
+            machine_types.append(MachineType(
+                mid, MachineKind.BATCH, rpt, batch_size=draw(st.integers(2, 8)),
+                wt_ticks=draw(st.integers(0, MAX_STEP_TICKS)), machine_count=count))
+    rpt = {mt.id: mt.raw_process_ticks for mt in machine_types}
+    lot_specs = []
+    lots = work = 0
+    for lid in draw(st.lists(st.integers(-10, 10 ** 6), max_size=4, unique=True)):
+        recipe = tuple(draw(st.lists(st.sampled_from(ids), min_size=1, max_size=6)))
+        per_lot = sum(rpt[m] for m in recipe)
+        count = draw(st.integers(0, min(MAX_LOTS - lots, (MAX_WORK_TICKS - work) // per_lot)))
+        lots += count
+        work += count * per_lot
+        lot_specs.append(LotSpec(lid, count, recipe))
+    words = st.text(string.ascii_letters + string.digits + "_-.", min_size=1, max_size=8)
+    name = " ".join(draw(st.lists(words, min_size=1, max_size=3)))
+    return Scenario(name, tick_hours, tuple(machine_types), tuple(lot_specs))
+
+
+class TestParseProperties:
+    @settings(max_examples=300, deadline=1000)
+    @given(_texts)
+    def test_any_text_parses_or_raises_scenario_error(self, text):
+        # The deadline bounds the time of every example.
+        try:
+            parse_scenario(text)
+        except ScenarioError:
+            pass
+
+    @settings(max_examples=300, deadline=1000)
+    @given(_valid_scenarios())
+    def test_serialize_round_trips_valid_scenarios(self, sc):
+        sc.validate()
+        assert parse_scenario(serialize_scenario(sc)) == sc
