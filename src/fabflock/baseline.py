@@ -75,7 +75,10 @@ class BaselinePolicy:
       single-step machine loads the head of its nonempty queue, and may only
       reorder that queue in place;
     - ``take_batch(machine, queue, rng, wt_expired)``: batch from
-      ``queue.batches`` to start, or None to keep waiting.
+      ``queue.batches`` to start, or None to keep waiting. It must return a
+      batch whenever a full batch waits: the engine's waiting timers run
+      on without pausing, which holds only because an idle batch machine
+      never keeps a full batch past phase 3.
 
     Subclasses change single-step decisions through ``choose_single`` and
     ``take_single``; batch decisions stay the baseline rules.

@@ -2,13 +2,15 @@
 
 Runs N seeded replications per algorithm over one scenario, writes per-run,
 aggregate, histogram, and comparison CSVs, and prints a comparison table.
-Exit codes: 0 success, 1 usage error, 2 scenario error, 3 simulation abort.
+Exit codes: 0 success, 1 usage or output error (a closed stdout included),
+2 scenario error, 3 simulation abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import statistics
 import sys
 from pathlib import Path
@@ -17,7 +19,7 @@ from typing import TextIO
 from .baseline import BaselinePolicy
 from .engine import SimulationAbort, init_run, run_to_completion
 from .flocking import DEFAULT_FLSQ_LEN, FlockingPolicy
-from .metrics import RunResult, histogram_from_times, summarize
+from .metrics import MetricsSummary, RunResult, histogram_from_times, summarize
 from .model import ConfigError
 from .scenario import Scenario, ScenarioError, build_small_fab, parse_scenario
 
@@ -83,8 +85,7 @@ def _fmt(value: float) -> str:
     return f"{value:.10f}"
 
 
-def _metric_series(results: list[RunResult]) -> dict[str, list[float]]:
-    summaries = [summarize(r) for r in results]
+def _metric_series(summaries: list[MetricsSummary]) -> dict[str, list[float]]:
     return {
         "makespan_ticks": [float(s.makespan) for s in summaries],
         "flow_factor": [s.flow_factor for s in summaries],
@@ -122,10 +123,10 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
             for r in range(runs)
         ]
 
+    summaries = {name: [summarize(r) for r in results[name]] for name in algorithms}
     run_rows = []
     for name in algorithms:
-        for result in results[name]:
-            s = summarize(result)
+        for result, s in zip(results[name], summaries[name]):
             run_rows.append([name, result.seed, s.makespan, _fmt(s.flow_factor),
                              _fmt(s.tardiness), _fmt(s.utilization)])
     emit_csv(run_rows, out / "runs.csv",
@@ -135,7 +136,7 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     agg_rows = []
     means: dict[str, dict[str, float]] = {}
     for name in algorithms:
-        series = _metric_series(results[name])
+        series = _metric_series(summaries[name])
         means[name] = {key: statistics.mean(v) for key, v in series.items()}
         row = [name, len(results[name])]
         for key in METRIC_KEYS:
@@ -229,15 +230,31 @@ def main(argv=None) -> int:
         run_experiment(scenario, algorithms, args.runs, args.seed, args.out,
                        flsq_len=args.flsq_len, hist_bin=args.hist_bin,
                        horizon_factor=args.horizon_factor, table=sys.stdout)
+        print(f"results written to {Path(args.out).resolve()}")
+        sys.stdout.flush()
     except SimulationAbort as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_SIM
     except OSError as exc:
+        if isinstance(exc, BrokenPipeError):
+            _stdout_to_devnull()
         print(f"output error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    print(f"results written to {Path(args.out).resolve()}")
     return EXIT_OK
+
+
+def _stdout_to_devnull() -> None:
+    """Point stdout's file descriptor at ``os.devnull``, so the interpreter's
+    exit flush drops what a closed pipe refused instead of raising."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return  # no descriptor, so no exit flush reaches a pipe
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
 
 
 def entrypoint() -> None:

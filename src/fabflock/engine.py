@@ -13,18 +13,23 @@ Every tick executes five phases in this fixed order:
    loads the queue head; a batch machine asks the policy for a batch
    (passing whether its waiting timer has expired). Starting credits each
    loaded lot's queue wait.
-4. Waiting-timer countdown for idle batch machines with queued lots.
-5. The clock advances by one; busy machines accumulate one busy tick.
+4. Waiting timers of idle batch machines with queued lots run on. This
+   needs no per-tick work: a timer is the tick it was armed at, and an idle
+   batch machine never holds a full batch after phase 3, since a policy
+   returns a batch whenever a full batch waits, so no timer ever pauses.
+5. The clock advances by one. A machine's busy time is derived: each start
+   keeps it busy for exactly ``raw_process_ticks`` ticks, and every machine
+   is idle once every lot finished.
 
 A lot released in phase 1 can be dispatched in phase 2 and loaded by a
 downstream machine in phase 3 of the same tick, so an uncontended lot spends
 exactly the sum of its raw process times in the system.
 
-The waiting timer of a batch machine is armed to ``wt_ticks`` whenever its
-queue turns from empty to nonempty or the machine turns idle with a nonempty
-queue, counts down once per tick while the machine idles without a full
-batch, and is cleared when the machine starts. A partial batch therefore
-becomes startable exactly ``wt_ticks`` ticks after the timer was armed.
+The waiting timer of a batch machine is armed at the current tick whenever
+its queue turns from empty to nonempty or the machine turns idle with a
+nonempty queue, and is cleared when the machine starts. It has expired once
+``wt_ticks`` ticks passed since it was armed, so a partial batch becomes
+startable exactly ``wt_ticks`` ticks after the timer was armed.
 
 All randomness (dispatch order, machine order, policy tie-breaks) comes from
 one per-run ``random.Random``, making a run a pure function of
@@ -81,8 +86,8 @@ Slot = tuple[Workcenter, Machine, MultiQueue]
 @dataclass
 class SimState:
     """Live state of one run. ``slots`` lists every machine in workcenter-id
-    then machine-index order, the order every tick phase visits them in, and
-    ``batch_slots`` the batch machines among them; both are built once."""
+    then machine-index order, the order every tick phase visits them in; it
+    is built once."""
 
     scenario: Scenario
     policy: BaselinePolicy
@@ -95,14 +100,11 @@ class SimState:
     finished: list[Lot] = field(default_factory=list)
     last_finish_tick: int = 0
     slots: list[Slot] = field(init=False, repr=False)
-    batch_slots: list[Slot] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.slots = [(wc, m, q)
                       for _, wc in sorted(self.workcenters.items())
                       for m, q in zip(wc.machines, wc.queues)]
-        self.batch_slots = [s for s in self.slots
-                            if s[0].mtype.kind is MachineKind.BATCH]
 
 
 def _enqueue(wc: Workcenter, machine_index: int, lot: Lot, clock: int) -> None:
@@ -112,14 +114,14 @@ def _enqueue(wc: Workcenter, machine_index: int, lot: Lot, clock: int) -> None:
     lot.enqueue_time = clock
     machine = wc.machines[machine_index]
     if was_empty and machine.mtype.kind is MachineKind.BATCH:
-        machine.wt_remaining = machine.mtype.wt_ticks
+        machine.wt_armed_at = clock
 
 
 def _start(machine: Machine, lots: list[Lot], clock: int) -> None:
     machine.current_batch = list(lots)
     machine.busy_remaining = machine.mtype.raw_process_ticks
     machine.start_count += 1
-    machine.wt_remaining = None
+    machine.wt_armed_at = None
     for lot in lots:
         lot.total_queue_ticks += clock - lot.enqueue_time
 
@@ -156,7 +158,8 @@ def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
 
 
 def tick(state: SimState) -> SimState:
-    """Advance the simulation by one tick (five phases, fixed order)."""
+    """Advance the simulation by one tick. Phases 1-3 run here; phase 4
+    needs no work and phase 5 is the clock increment (module docstring)."""
     clock = state.clock
     rng = state.rng
     policy = state.policy
@@ -173,7 +176,7 @@ def tick(state: SimState) -> SimState:
             m.current_batch = []
             queue.changed.add(m.index)
             if m.mtype.kind is MachineKind.BATCH and queue.size:
-                m.wt_remaining = m.mtype.wt_ticks
+                m.wt_armed_at = clock
 
     # 2: advance cursors, dispatch to next queues
     if released:
@@ -201,7 +204,7 @@ def tick(state: SimState) -> SimState:
             policy.take_single(m, queue, wc.view(), rng)
             _start(m, [queue.pop_head()], clock)
         else:
-            wt_expired = m.wt_remaining == 0
+            wt_expired = clock - m.wt_armed_at >= m.mtype.wt_ticks
             batch = policy.take_batch(m, queue, rng, wt_expired)
             if batch is None:
                 continue
@@ -210,23 +213,8 @@ def tick(state: SimState) -> SimState:
             queue.remove_batch(batch)
             _start(m, batch.lots, clock)
 
-    # 4: waiting-timer countdown
-    for _, m, queue in state.batch_slots:
-        if m.current_batch:
-            continue
-        if not queue.size:
-            m.wt_remaining = None
-        else:
-            if m.wt_remaining is None:
-                m.wt_remaining = m.mtype.wt_ticks
-            if m.wt_remaining > 0 and not queue.has_full_batch():
-                m.wt_remaining -= 1
-
-    # 5: clock and busy accounting
+    # 4 has no work (timers are arm ticks); 5: the clock, busy time is derived
     state.clock = clock + 1
-    for _, m, _ in slots:
-        if m.current_batch:
-            m.busy_ticks_total += 1
     return state
 
 
@@ -250,10 +238,8 @@ def run_to_completion(state: SimState, horizon_factor: int = 100) -> RunResult:
         LotRecord(lot_id=lot.id, lot_type=lot.lot_type, finish_time=lot.finish_time,
                   queue_ticks=lot.total_queue_ticks, rpt_ticks=rpt_by_type[lot.lot_type])
         for lot in sorted(state.lots, key=lambda l: l.id))
-    busy: dict[str, int] = {}
-    for type_id in sorted(state.workcenters):
-        for m in state.workcenters[type_id].machines:
-            busy[m.label] = m.busy_ticks_total
+    busy = {m.label: m.start_count * m.mtype.raw_process_ticks
+            for _, m, _ in state.slots}
     return RunResult(
         algorithm=state.policy.name,
         seed=state.seed,
@@ -272,11 +258,13 @@ def audit_state(state: SimState) -> None:
     partial-batch uniqueness per type, and that every queue's counters match
     its contents: ``size`` its queued lots, a single-step queue's per-type
     counts its lots, and a batch queue's ``partial`` map exactly its partial
-    batches. Where a workcenter view has built its same-type distance index,
-    checks it without changing it: every machine not in ``changed`` holds
-    the ``first_same_type_distance`` of each lot type, and the per-type
-    counts and sums equal those of the held maps. Debugging aid; the engine
-    never calls it on its own.
+    batches. An idle batch machine has its waiting timer armed, at a tick
+    no later than the clock, exactly when its queue is nonempty, and once a
+    tick has run it holds no full batch. Where a workcenter view has built
+    its same-type distance index, checks it without changing it: every
+    machine not in ``changed`` holds the ``first_same_type_distance`` of
+    each lot type, and the per-type counts and sums equal those of the held
+    maps. Debugging aid; the engine never calls it on its own.
     """
     seen: list[int] = []
     for wc in state.workcenters.values():
@@ -300,6 +288,13 @@ def audit_state(state: SimState) -> None:
             else:
                 assert not q.lots, f"{m.label}: batch queue holds loose lots"
                 partials = [b for b in q.batches if len(b.lots) < bs]
+                if not m.is_busy:
+                    assert (m.wt_armed_at is not None) == bool(q.size), \
+                        f"{m.label}: idle, waiting timer armed iff queue nonempty"
+                    assert m.wt_armed_at is None or m.wt_armed_at <= state.clock, \
+                        f"{m.label}: waiting timer armed in the future"
+                    assert not state.clock or len(partials) == len(q.batches), \
+                        f"{m.label}: idle with a full batch after phase 3"
                 assert len({b.lot_type for b in partials}) == len(partials), \
                     f"{m.label}: two partial batches of one type"
                 assert len(q.partial) == len(partials) and all(

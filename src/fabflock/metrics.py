@@ -50,20 +50,6 @@ def flow_factor(result: RunResult) -> float:
     return total / len(result.lots)
 
 
-def flow_factor_global(result: RunResult) -> float:
-    """Ratio-of-sums variant: sum(queue + process) / sum(process).
-
-    Coincides with ``flow_factor`` whenever all lots share one raw process
-    time, as in the small fab.
-    """
-    if not result.lots:
-        return 1.0
-    rpt_sum = sum(rec.rpt_ticks for rec in result.lots)
-    if rpt_sum <= 0:
-        raise ConfigError("total raw process time is zero")
-    return sum(rec.queue_ticks + rec.rpt_ticks for rec in result.lots) / rpt_sum
-
-
 def tardiness(result: RunResult) -> float:
     """Mean queue waiting ticks per lot."""
     if not result.lots:

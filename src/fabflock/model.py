@@ -85,9 +85,8 @@ class Machine:
     mtype: MachineType
     index: int
     busy_remaining: int = 0
-    wt_remaining: int | None = None  # None: waiting timer not armed
+    wt_armed_at: int | None = None  # tick the waiting timer was armed; None: not armed
     current_batch: list[Lot] = field(default_factory=list)
-    busy_ticks_total: int = 0
     start_count: int = 0
 
     @property

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 from .model import ConfigError, MachineKind, MachineType, Recipe
 
@@ -314,18 +313,13 @@ def _parse_lottype(tok: list[str], line_no: int, machine_ids: set[int]) -> LotSp
     return LotSpec(lid, count, recipe)
 
 
-def default_divergence(lot_type: int, layer: int) -> int:
-    """Finishing workcenter for one layer: alternates between types 3 and 4 by
-    the parity of lot type + layer, balancing their load."""
-    return 3 + (lot_type + layer) % 2
-
-
-def small_fab_recipe(lot_type: int, layers: int = 4,
-                     divergence: Callable[[int, int], int] = default_divergence) -> Recipe:
-    """Per layer: workcenters 0 -> 1 -> 2 (batch) -> finishing workcenter."""
+def small_fab_recipe(lot_type: int) -> Recipe:
+    """Four layers, each workcenters 0 -> 1 -> 2 (batch) -> a finishing
+    workcenter that alternates between 3 and 4 by the parity of lot type +
+    layer, balancing their load."""
     steps: list[int] = []
-    for layer in range(layers):
-        steps += [0, 1, 2, divergence(lot_type, layer)]
+    for layer in range(4):
+        steps += [0, 1, 2, 3 + (lot_type + layer) % 2]
     return tuple(steps)
 
 

@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import re
 import statistics
@@ -20,15 +21,17 @@ lottype 1 count 3 recipe 0 1 0
 """
 
 
-def run_cli_process(scenario_path, out_dir, timeout):
+def run_cli_process(scenario_path, out_dir, timeout, stdout=subprocess.PIPE, **env):
     """``python -m fabflock --runs 1`` on a scenario file in a fresh
-    interpreter; raises ``subprocess.TimeoutExpired`` after ``timeout`` s."""
+    interpreter, with ``env`` added to its environment; raises
+    ``subprocess.TimeoutExpired`` after ``timeout`` s. Stderr is captured;
+    stdout goes to ``stdout``, captured by default."""
     src = Path(cli.__file__).resolve().parents[1]
     return subprocess.run(
         [sys.executable, "-m", "fabflock", "--scenario", str(scenario_path),
          "--runs", "1", "--out", str(out_dir)],
-        capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "PYTHONPATH": str(src)})
+        stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=timeout,
+        env={**os.environ, "PYTHONPATH": str(src), **env})
 
 
 @pytest.fixture
@@ -160,6 +163,36 @@ class TestExitCodes:
         path.write_bytes("scenario caf\u00e9\n".encode("latin-1"))
         assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_stdout_closed_before_last_line_exits_1(self, tiny_path, tmp_path,
+                                                    monkeypatch, capsys):
+        class ClosedBeforeLastLine(io.StringIO):
+            def write(self, text):
+                if text.startswith("results written to"):
+                    raise BrokenPipeError(32, "Broken pipe")
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", ClosedBeforeLastLine())
+        code = cli.main(["--scenario", str(tiny_path), "--runs", "1",
+                         "--out", str(tmp_path / "r")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "output error" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"])
+    def test_closed_pipe_exits_1_without_traceback(self, tiny_path, tmp_path, unbuffered):
+        # Buffered, nothing reaches the pipe before the final flush; unbuffered,
+        # the table's first line already fails.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            done = run_cli_process(tiny_path, tmp_path / "r", timeout=60, stdout=write_end,
+                                   PYTHONUNBUFFERED=unbuffered)
+        finally:
+            os.close(write_end)
+        assert done.returncode == 1
+        assert "output error" in done.stderr
+        assert "Traceback" not in done.stderr and "Exception ignored" not in done.stderr
 
     def test_simulation_abort(self, tmp_path):
         path = tmp_path / "stuck.txt"

@@ -46,12 +46,21 @@ class TestSingleStepSchedules:
         assert sorted(rec.finish_time for rec in result.lots) == [2, 4]
 
     def test_busy_ticks_equal_starts_times_rpt(self):
-        sc = scenario_of([single_type(rpt=2, count=2)], [lots_spec(0, 5, [0, 0])])
+        # Count each machine's busy ticks while stepping by hand: a machine
+        # holding a batch after a tick was busy during it.
+        sc = scenario_of([single_type(0, rpt=2, count=2), batch_type(1, rpt=3, bs=2, wt=2)],
+                         [lots_spec(0, 5, [0, 1, 0])])
         state = init_run(sc, BaselinePolicy(), seed=3)
-        run_to_completion(state)
-        for wc in state.workcenters.values():
-            for m in wc.machines:
-                assert m.busy_ticks_total == m.start_count * m.mtype.raw_process_ticks
+        machines = [m for wc in state.workcenters.values() for m in wc.machines]
+        counted = Counter()
+        while len(state.finished) < len(state.lots):
+            tick(state)
+            counted.update(m.label for m in machines if m.current_batch)
+        result = run_to_completion(state)
+        assert result.busy_ticks == {m.label: counted[m.label] for m in machines}
+        assert result.busy_ticks == {m.label: m.start_count * m.mtype.raw_process_ticks
+                                     for m in machines}
+        assert all(result.busy_ticks.values())
 
 
 class TestBatchMachines:
@@ -79,6 +88,16 @@ class TestBatchMachines:
         assert not machine.is_busy
         tick(state)  # tick 3: timer expired, partial batch starts
         assert machine.is_busy
+
+    def test_timer_re_arms_at_release(self):
+        # Hand-computed: the full batch of the first two lots starts at 0 and
+        # releases at 5, which re-arms the timer for the leftover lot; it
+        # starts 3 ticks later at 8, having waited 8, and finishes at 13.
+        sc = scenario_of([batch_type(rpt=5, bs=2, wt=3)], [lots_spec(0, 3, [0])])
+        result = run(sc, BaselinePolicy(), seed=1)
+        assert sorted(rec.queue_ticks for rec in result.lots) == [0, 0, 8]
+        assert sorted(rec.finish_time for rec in result.lots) == [5, 5, 13]
+        assert result.makespan == 13
 
     def test_whole_batch_released_at_once(self):
         sc = scenario_of([batch_type(rpt=3, bs=4, wt=5)], [lots_spec(0, 4, [0])])

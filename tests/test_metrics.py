@@ -5,7 +5,6 @@ from fabflock.metrics import (
     LotRecord,
     RunResult,
     flow_factor,
-    flow_factor_global,
     histogram_from_times,
     summarize,
     tardiness,
@@ -45,15 +44,13 @@ class TestFlowFactor:
     def test_wait_equal_to_work(self):
         assert flow_factor(result([rec(queue=84, rpt=84)])) == 2.0
 
-    def test_readings_coincide_for_uniform_rpt(self):
+    def test_uniform_rpt_mean(self):
         lots = [rec(i, queue=q, rpt=84) for i, q in enumerate([0, 84, 42])]
-        r = result(lots)
-        assert flow_factor(r) == pytest.approx(flow_factor_global(r))
+        assert flow_factor(result(lots)) == pytest.approx(1.5)
 
-    def test_readings_differ_for_mixed_rpt(self):
+    def test_mixed_rpt_is_mean_of_per_lot_ratios(self):
         r = result([rec(0, queue=10, rpt=10), rec(1, queue=0, rpt=90)])
         assert flow_factor(r) == pytest.approx(1.5)
-        assert flow_factor_global(r) == pytest.approx(1.1)
 
     def test_zero_rpt_rejected(self):
         with pytest.raises(ConfigError):
