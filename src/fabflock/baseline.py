@@ -31,10 +31,10 @@ def pick_uniform(items, rng: random.Random):
 
 
 def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
-    """Machine with the shortest queue; ties uniform."""
-    lens = view.queue_lens()
-    shortest = min(lens)
-    return pick_uniform([i for i, n in enumerate(lens) if n == shortest], rng)
+    """Machine with the shortest queue; ties uniform. The index's lowest
+    bucket lists exactly those machines, in machine order."""
+    index = view.index
+    return pick_uniform(index.buckets[index.min_len], rng)
 
 
 def choose_batch(lot: Lot, view: WorkcenterView, rng: random.Random) -> tuple[int, str]:

@@ -2,6 +2,7 @@
 
 Runs N seeded replications per algorithm over one scenario, writes per-run,
 aggregate, histogram, and comparison CSVs, and prints a comparison table.
+Each ``--algorithm`` may be given once; a repeated name is a usage error.
 Exit codes: 0 success, 1 usage or output error (a closed stdout included),
 2 scenario error, 3 simulation abort.
 """
@@ -109,8 +110,10 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     across algorithms and making any single run re-executable in isolation.
     When ``table`` is given, the comparison table is also printed to it once
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
-    replication order.
+    replication order. Raises ValueError when a name repeats.
     """
+    if len(set(algorithms)) < len(algorithms):
+        raise ValueError(f"each algorithm may run once, got {algorithms}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -185,7 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scenario file path or the builtin 'smallfab' (default)")
     parser.add_argument("--algorithm", action="append", choices=ALGORITHM_NAMES,
                         metavar="{baseline,flocking}",
-                        help="scheduler to run; repeatable (default: both)")
+                        help="scheduler to run; repeatable, each name once "
+                             "(default: both)")
     parser.add_argument("--runs", type=int, default=50,
                         help="replications per algorithm (default 50)")
     parser.add_argument("--seed", type=int, default=1,
@@ -214,12 +218,15 @@ def main(argv=None) -> int:
             raise UsageError("--hist-bin must be >= 1")
         if args.horizon_factor < 1:
             raise UsageError("--horizon-factor must be >= 1")
+        algorithms = args.algorithm or list(ALGORITHM_NAMES)
+        for name in algorithms:
+            if algorithms.count(name) > 1:
+                raise UsageError(f"--algorithm {name} given more than once")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
 
-    algorithms = args.algorithm or list(ALGORITHM_NAMES)
     try:
         scenario = load_scenario(args.scenario)
     except (ConfigError, OSError) as exc:

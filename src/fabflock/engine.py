@@ -174,7 +174,7 @@ def tick(state: SimState) -> SimState:
         if m.busy_remaining == 0:
             released.extend(m.current_batch)
             m.current_batch = []
-            queue.changed.add(m.index)
+            queue.index.changed.add(m.index)
             if m.mtype.kind is MachineKind.BATCH and queue.size:
                 m.wt_armed_at = clock
 
@@ -260,11 +260,16 @@ def audit_state(state: SimState) -> None:
     counts its lots, and a batch queue's ``partial`` map exactly its partial
     batches. An idle batch machine has its waiting timer armed, at a tick
     no later than the clock, exactly when its queue is nonempty, and once a
-    tick has run it holds no full batch. Where a workcenter view has built
-    its same-type distance index, checks it without changing it: every
-    machine not in ``changed`` holds the ``first_same_type_distance`` of
-    each lot type, and the per-type counts and sums equal those of the held
-    maps. Debugging aid; the engine never calls it on its own.
+    tick has run it holds no full batch. Every workcenter's ``QueueIndex``
+    must equal a recount: each length bucket the machines with that queue
+    size in machine order, ``min_len`` the lowest size, the holders of a lot
+    type the machines counting it, the partial owners the machines whose
+    ``partial`` holds the type, and no bucket, holder set or owner list
+    empty. Where a workcenter view has built its same-type distance index,
+    checks it without changing it: every machine not in ``index.changed``
+    holds the ``first_same_type_distance`` of each lot type, and the
+    per-type counts and sums equal those of the held maps. Debugging aid;
+    the engine never calls it on its own.
     """
     seen: list[int] = []
     for wc in state.workcenters.values():
@@ -305,9 +310,31 @@ def audit_state(state: SimState) -> None:
                     assert all(l.lot_type == b.lot_type for l in b.lots), \
                         f"{m.label}: mixed lot types in batch"
                     seen.extend(l.id for l in b.lots)
+        _audit_queue_index(wc)
         _audit_distance_index(wc.view(), state.recipes)
     seen.extend(l.id for l in state.finished)
     assert sorted(seen) == sorted(l.id for l in state.lots), "lot conservation violated"
+
+
+def _audit_queue_index(wc: Workcenter) -> None:
+    index = wc.view().index
+    name = f"workcenter {wc.mtype.id}"
+    buckets: dict[int, list[int]] = {}
+    holders: dict[int, set[int]] = {}
+    owners: dict[int, list[int]] = {}
+    for i, q in enumerate(wc.queues):
+        buckets.setdefault(q.size, []).append(i)
+        for t, c in q.type_counts.items():
+            if c:
+                holders.setdefault(t, set()).add(i)
+        for t in q.partial:
+            owners.setdefault(t, []).append(i)
+    for kept in (index.buckets, index.holders, index.partial_owners):
+        assert all(kept.values()), f"{name}: empty bucket, holder set or owner list"
+    assert index.buckets == buckets, f"{name}: stale queue-length buckets"
+    assert index.min_len == min(buckets), f"{name}: stale shortest queue length"
+    assert index.holders == holders, f"{name}: stale holder sets"
+    assert index.partial_owners == owners, f"{name}: stale partial-batch owners"
 
 
 def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> None:
@@ -317,7 +344,7 @@ def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> Non
     counts: Counter = Counter()
     sums: Counter = Counter()
     for i, held in enumerate(view.dist_maps):
-        if i not in view.changed:
+        if i not in view.index.changed:
             fresh = {t: d for t in lot_types
                      if (d := first_same_type_distance(t, view, i, window)) is not None}
             assert held == fresh, f"machine {i} of workcenter {view.type_id}: " \

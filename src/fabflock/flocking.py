@@ -23,17 +23,23 @@ The distances come from the workcenter view's same-type distance index
 changed since the last take at the workcenter), not O(machines x window).
 The index keeps, per machine, its ``{lot type: distance}`` map and, per lot
 type, the count and sum of those distances; it re-derives only the machines
-in ``view.changed``, a set every queue of the workcenter holds as
-``queue.changed``.
+in ``index.changed``. ``index`` is the workcenter's ``model.QueueIndex``,
+the one object of workcenter-wide state every queue holds as
+``queue.index`` and the view as ``view.index``. Separation reads the same
+object: its queue-length buckets and per-type holder sets, which the queue
+mutators keep current without marks, so an arriving lot costs
+O(machines in the buckets walked), not O(machines).
 
 The marking contract: whatever changes a single-step machine's queue window
-or processing type adds the machine's index to that set. ``add_lot`` and
-``pop_head`` mark their queue's owner, the engine marks a machine when it
-releases its lot (a start always follows the ``pop_head`` that marked it),
-and ``reshuffle_flsq`` marks the machine whose window it reordered. Code that
-sets ``current_batch`` or reorders ``queue.lots`` outside these paths, such
-as a test building a state by hand, must mark the machine itself;
-``engine.audit_state`` fails on an unmarked machine whose entry is stale.
+or processing type adds the machine's index to ``index.changed``.
+``add_lot`` and ``pop_head`` mark their queue's owner, the engine marks a
+machine when it releases its lot (a start always follows the ``pop_head``
+that marked it), and ``reshuffle_flsq`` marks the machine whose window it
+reordered; a reorder inside ``queue.lots`` leaves the lengths and holders
+valid, so the window is all it changes. Code that sets ``current_batch`` or
+reorders ``queue.lots`` outside these paths, such as a test building a state
+by hand, must mark the machine itself; ``engine.audit_state`` fails on an
+unmarked machine whose entry is stale.
 """
 
 from __future__ import annotations
@@ -50,7 +56,25 @@ DEFAULT_FLSQ_LEN = 5
 
 def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     """Among the queues with the fewest lots of the lot's own type, take the
-    shortest; remaining ties uniform."""
+    shortest; remaining ties uniform.
+
+    While some machine queues none of the type, those machines are the
+    fewest, and the index's buckets, walked upward from the shortest length,
+    give the shortest of them in machine order. Only when every machine
+    queues the type does the rule scan every machine's counts.
+    """
+    index = view.index
+    holders = index.holders.get(lot.lot_type, ())
+    if len(holders) < len(view):
+        buckets = index.buckets
+        n = index.min_len
+        while True:
+            bucket = buckets.get(n)
+            if bucket is not None:
+                ties = [i for i in bucket if i not in holders]
+                if ties:
+                    return pick_uniform(ties, rng)
+            n += 1
     counts = view.type_counts(lot.lot_type)
     least = min(counts)
     candidates = [i for i, c in enumerate(counts) if c == least]
@@ -145,7 +169,7 @@ def reshuffle_flsq(queue: MultiQueue, view: WorkcenterView, own_index: int,
         t = lot.lot_type
         pulls[lot.id] = pull_from_totals(pos, counts[t] - 1, sums[t] - own[t])
     apply_pulls(lots, pulls, window_len, rng)
-    view.changed.add(own_index)
+    view.index.changed.add(own_index)
 
 
 def take_single(machine: Machine, queue: MultiQueue, view: WorkcenterView,

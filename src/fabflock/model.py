@@ -12,6 +12,7 @@ Queue positions are 1-based, position 1 being the head next to the machine.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
@@ -103,6 +104,56 @@ class Machine:
         return f"m{self.mtype.id}.{self.index}"
 
 
+class QueueIndex:
+    """Workcenter-wide state the queues of one workcenter keep current.
+
+    ``buckets`` maps each queue length some machine has to the indices of
+    the machines with that length, ascending, and ``min_len`` is the lowest
+    such length. ``holders`` maps each lot type queued at a single-step
+    machine to the set of machines queueing it; ``partial_owners`` maps each
+    lot type with a partial batch to the ascending indices of the batch
+    machines holding one. A bucket, holder set or owner list is deleted when
+    its last machine leaves it, so none is ever empty. ``changed`` holds the
+    machines whose same-type distances ``WorkcenterView.distance_index``
+    must re-derive; it starts with every machine.
+
+    Built by the workcenter's view, held by every queue as ``queue.index``;
+    it refers to neither, so a finished run is freed by reference counting
+    alone.
+    """
+
+    __slots__ = ("buckets", "min_len", "holders", "partial_owners", "changed")
+
+    def __init__(self, n_machines: int):
+        self.buckets: dict[int, list[int]] = {0: list(range(n_machines))}
+        self.min_len = 0
+        self.holders: dict[int, set[int]] = {}
+        self.partial_owners: dict[int, list[int]] = {}
+        self.changed: set[int] = set(range(n_machines))
+
+    def move(self, i: int, old: int, new: int) -> None:
+        """Move machine ``i`` from the bucket of length ``old`` to ``new``.
+        ``add_lot`` and ``pop_head`` inline this for their one-lot moves."""
+        buckets = self.buckets
+        bucket = buckets[old]
+        if len(bucket) == 1:
+            del buckets[old]
+        else:
+            bucket.remove(i)
+        insort(buckets.setdefault(new, []), i)
+        if new < self.min_len:
+            self.min_len = new
+        elif old == self.min_len and old not in buckets:
+            self.min_len = min(buckets)
+
+    def drop_partial(self, lot_type: int, i: int) -> None:
+        owners = self.partial_owners[lot_type]
+        if len(owners) == 1:
+            del self.partial_owners[lot_type]
+        else:
+            owners.remove(i)
+
+
 @dataclass
 class MultiQueue:
     """Dedicated queue of one machine.
@@ -117,12 +168,13 @@ class MultiQueue:
 
     ``size`` is the number of queued lots of either kind. Lots enter only
     through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
-    and ``remove_batch``, which keep ``size``, ``type_counts`` and
-    ``partial`` current; a queue is therefore built empty.
+    and ``remove_batch``, which keep ``size``, ``type_counts``, ``partial``
+    and the workcenter's ``index`` current; a queue is therefore built empty.
 
-    ``changed`` is the ``WorkcenterView.changed`` set of the owner's
-    workcenter (the view adopts every queue it is built over); ``add_lot``
-    and ``pop_head`` add the owner's index to it for single-step queues.
+    ``index`` is the ``QueueIndex`` of the owner's workcenter, the one piece
+    of workcenter-wide state a queue holds. The workcenter's view sets it
+    when it adopts the queue, and a queue takes lots only after that. Both
+    single-step mutators also mark the owner in ``index.changed``.
     """
 
     owner: Machine
@@ -131,7 +183,7 @@ class MultiQueue:
     size: int = field(default=0, init=False)
     type_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
     partial: dict[int, Batch] = field(default_factory=dict, init=False, repr=False)
-    changed: set[int] = field(default_factory=set, init=False, repr=False, compare=False)
+    index: QueueIndex | None = field(default=None, init=False, repr=False, compare=False)
 
     def total_len(self) -> int:
         return self.size
@@ -140,22 +192,40 @@ class MultiQueue:
         return self.size == 0
 
     def add_lot(self, lot: Lot) -> None:
-        self.size += 1
+        n = self.size
+        self.size = n + 1
+        x = self.index
+        i = self.owner.index
+        buckets = x.buckets  # QueueIndex.move(i, n, n + 1), inlined
+        bucket = buckets[n]
+        if len(bucket) == 1:
+            del buckets[n]
+            if x.min_len == n:
+                x.min_len = n + 1
+        else:
+            bucket.remove(i)
+        insort(buckets.setdefault(n + 1, []), i)
+        t = lot.lot_type
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
             counts = self.type_counts
-            counts[lot.lot_type] = counts.get(lot.lot_type, 0) + 1
-            self.changed.add(self.owner.index)
+            c = counts.get(t, 0)
+            counts[t] = c + 1
+            if not c:
+                x.holders.setdefault(t, set()).add(i)
+            x.changed.add(i)
             return
-        batch = self.partial.get(lot.lot_type)
+        batch = self.partial.get(t)
         if batch is None:
-            batch = Batch(lot.lot_type, [lot])
+            batch = Batch(t, [lot])
             self.batches.append(batch)
-            self.partial[lot.lot_type] = batch
+            self.partial[t] = batch
+            insort(x.partial_owners.setdefault(t, []), i)
         else:
             batch.lots.append(lot)
             if len(batch.lots) == self.owner.mtype.batch_size:
-                del self.partial[lot.lot_type]
+                del self.partial[t]
+                x.drop_partial(t, i)
 
     def add_batch(self, batch: Batch) -> None:
         """Append a whole batch to a batch queue; it must hold 1 to
@@ -165,27 +235,55 @@ class MultiQueue:
             raise ValueError("single-step queues hold no batches")
         if not 1 <= len(batch.lots) <= bs:
             raise ValueError(f"a batch holds 1 to {bs} lots, got {len(batch.lots)}")
+        i = self.owner.index
         if len(batch.lots) < bs:
             if batch.lot_type in self.partial:
                 raise ValueError(f"lot type {batch.lot_type} already has a partial batch")
             self.partial[batch.lot_type] = batch
+            insort(self.index.partial_owners.setdefault(batch.lot_type, []), i)
         self.batches.append(batch)
-        self.size += len(batch.lots)
+        n = self.size
+        self.size = n + len(batch.lots)
+        self.index.move(i, n, self.size)
 
     def pop_head(self) -> Lot:
         lot = self.lots.pop(0)
-        self.type_counts[lot.lot_type] -= 1
-        self.size -= 1
-        self.changed.add(self.owner.index)
+        n = self.size
+        self.size = n - 1
+        x = self.index
+        i = self.owner.index
+        counts = self.type_counts
+        c = counts[lot.lot_type] - 1
+        counts[lot.lot_type] = c
+        if not c:
+            holders = x.holders[lot.lot_type]
+            if len(holders) == 1:
+                del x.holders[lot.lot_type]
+            else:
+                holders.remove(i)
+        buckets = x.buckets  # QueueIndex.move(i, n, n - 1), inlined
+        bucket = buckets[n]
+        if len(bucket) == 1:
+            del buckets[n]
+        else:
+            bucket.remove(i)
+        insort(buckets.setdefault(n - 1, []), i)
+        if x.min_len == n:
+            x.min_len = n - 1
+        x.changed.add(i)
         return lot
 
     def remove_batch(self, batch: Batch) -> None:
-        for i, b in enumerate(self.batches):
+        for k, b in enumerate(self.batches):
             if b is batch:
-                del self.batches[i]
-                self.size -= len(batch.lots)
+                del self.batches[k]
+                i = self.owner.index
+                n = self.size
+                self.size = n - len(batch.lots)
+                self.index.move(i, n, self.size)
                 if self.partial.get(batch.lot_type) is batch:
                     del self.partial[batch.lot_type]
+                    self.index.drop_partial(batch.lot_type, i)
                 return
         raise ValueError("batch not in this queue")
 
@@ -204,18 +302,25 @@ class WorkcenterView:
     batches, and what each machine is processing. Each workcenter builds one
     view and hands it to every decision; every read goes to the current
     machines and queues, so a value read before a queue changes is stale
-    afterwards. Lengths, type counts and partial batches come from counters
-    the queues keep, so each read costs one lookup per machine, not a scan of
-    the queued lots. Callers must not mutate anything reached through it.
+    afterwards. Callers must not mutate anything reached through it.
+
+    ``index`` is the workcenter's ``QueueIndex``, which the view builds and
+    every queue it adopts keeps current. It answers the dispatch rules'
+    questions without visiting the machines: the shortest queues are
+    ``index.buckets[index.min_len]``, the machines queueing a lot type are
+    ``index.holders``, and ``partial_batches`` reads only the machines in
+    ``index.partial_owners``. The per-machine reads (``queue_lens``,
+    ``type_counts``) come from counters the queues keep, one lookup per
+    machine.
 
     The view also keeps the same-type distance index of one window length
-    that ``distance_index`` returns. ``changed`` holds the indices of the
-    machines whose entry must be re-derived before the next read; it starts
-    with every machine, and the ``flocking`` module docstring states who
-    adds to it.
+    that ``distance_index`` returns. ``index.changed`` holds the indices of
+    the machines whose entry must be re-derived before the next read; it
+    starts with every machine, and the ``flocking`` module docstring states
+    who adds to it.
     """
 
-    __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues", "changed",
+    __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues", "index",
                  "dist_window", "dist_maps", "dist_counts", "dist_sums")
 
     def __init__(self, mtype: MachineType, machines: list[Machine], queues: list[MultiQueue]):
@@ -224,9 +329,11 @@ class WorkcenterView:
         self.batch_size = mtype.batch_size
         self._machines = machines
         self._queues = queues
-        self.changed: set[int] = set(range(len(machines)))
+        self.index = QueueIndex(len(machines))
         for q in queues:
-            q.changed = self.changed
+            if q.size:
+                raise ValueError("a workcenter view adopts only empty queues")
+            q.index = self.index
         #: Window length of the index; None until ``distance_index`` builds it.
         self.dist_window: int | None = None
         #: Per machine, ``machine_distances`` as of its last re-derivation.
@@ -264,18 +371,19 @@ class WorkcenterView:
                        ) -> tuple[list[dict[int, int]], dict[int, int], dict[int, int]]:
         """``(dist_maps, dist_counts, dist_sums)`` for ``window_len``, current.
 
-        Re-derives only the machines in ``changed``; a window length other
-        than the last one rebuilds every machine. The caller must not mutate
-        the returned containers.
+        Re-derives only the machines in ``index.changed``; a window length
+        other than the last one rebuilds every machine. The caller must not
+        mutate the returned containers.
         """
         maps, counts, sums = self.dist_maps, self.dist_counts, self.dist_sums
+        changed = self.index.changed
         if window_len != self.dist_window:
             self.dist_window = window_len
             maps[:] = [{} for _ in self._machines]
             counts.clear()
             sums.clear()
-            self.changed.update(range(len(maps)))
-        for i in self.changed:
+            changed.update(range(len(maps)))
+        for i in changed:
             for t, d in maps[i].items():
                 counts[t] -= 1
                 sums[t] -= d
@@ -284,18 +392,15 @@ class WorkcenterView:
                 counts[t] = counts.get(t, 0) + 1
                 sums[t] = sums.get(t, 0) + d
             maps[i] = fresh
-        self.changed.clear()
+        changed.clear()
         return maps, counts, sums
 
     def partial_batches(self, lot_type: int) -> list[tuple[int, Batch]]:
         """(machine index, batch) for every partial batch of ``lot_type``, in
         machine order; a queue holds at most one per type."""
-        found = []
-        for i, q in enumerate(self._queues):
-            batch = q.partial.get(lot_type)
-            if batch is not None:
-                found.append((i, batch))
-        return found
+        queues = self._queues
+        return [(i, queues[i].partial[lot_type])
+                for i in self.index.partial_owners.get(lot_type, ())]
 
 
 def machine_distances(machine: Machine, queue: MultiQueue, window_len: int) -> dict[int, int]:

@@ -126,6 +126,19 @@ class TestExitCodes:
     def test_bad_runs_is_usage_error(self, tmp_path):
         assert cli.main(["--runs", "0", "--out", str(tmp_path / "r")]) == 1
 
+    def test_repeated_algorithm_is_usage_error(self, tiny_path, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main(["--scenario", str(tiny_path), "--runs", "2", "--out", str(out),
+                         "--algorithm", "flocking", "--algorithm", "flocking"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "flocking given more than once" in err and "Traceback" not in err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="once"):
+            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline", "baseline"],
+                               runs=1, base_seed=1, out_dir=out)
+        assert not out.exists()
+
     def test_missing_scenario_file(self, tmp_path):
         code = cli.main(["--scenario", str(tmp_path / "nope.txt"),
                          "--out", str(tmp_path / "r")])

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import random
 from collections import Counter
@@ -211,6 +212,28 @@ class TestOccupancyReads:
         while len(state.finished) < len(state.lots):
             tick(state)
         assert calls == Counter()
+
+
+class TestFinishedRunMemory:
+    @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
+    def test_freed_without_the_cycle_collector_and_index_drained(self, policy_cls):
+        # bench/run.py keeps every final state of a unit: a reference cycle
+        # would leave each run to the cyclic collector, and leftover index
+        # entries would stay resident with the state.
+        gc.collect()
+        gc.disable()
+        try:
+            state = init_run(build_small_fab(), policy_cls(), seed=1)
+            run_to_completion(state)
+            for wc in state.workcenters.values():
+                index = wc.view().index
+                assert index.buckets == {0: list(range(len(wc.machines)))}
+                assert index.min_len == 0
+                assert index.holders == {} and index.partial_owners == {}
+            del state
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestLivelockGuard:

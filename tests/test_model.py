@@ -1,8 +1,10 @@
+import random
 from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
+from fabflock import baseline, flocking
 from fabflock.model import (
     Batch,
     ConfigError,
@@ -11,6 +13,7 @@ from fabflock.model import (
     MachineKind,
     MachineType,
     MultiQueue,
+    WorkcenterView,
     batch_missing,
     next_step,
 )
@@ -81,6 +84,13 @@ class TestQueueStartsEmpty:
         view = wc.view()
         assert view.type_counts(3) == [2]
         assert view.queue_lens() == [2]
+
+    def test_a_view_adopts_only_empty_queues(self):
+        # A second view over filled queues would start its index from empty.
+        wc = make_single_wc(2)
+        fill_queue(wc, 1, [3])
+        with pytest.raises(ValueError, match="empty queues"):
+            WorkcenterView(wc.mtype, wc.machines, wc.queues)
 
 
 class TestMultiQueueAddBatch:
@@ -204,6 +214,28 @@ def reference_partial_batches(queues, lot_type, batch_size):
     return found
 
 
+def reference_pick(items, rng):
+    return items[0] if len(items) == 1 else rng.choice(items)
+
+
+def reference_shortest_queue(item, queues, rng):
+    """The scanning ``baseline.choose_single``."""
+    lens = [reference_total_len(q) for q in queues]
+    shortest = min(lens)
+    return reference_pick([i for i, n in enumerate(lens) if n == shortest], rng)
+
+
+def reference_separation(item, queues, rng):
+    """The scanning ``flocking.choose_single``: fewest own-type lots, then
+    the shortest queue."""
+    counts = [sum(l.lot_type == item.lot_type for l in q.lots) for q in queues]
+    least = min(counts)
+    candidates = [i for i, c in enumerate(counts) if c == least]
+    lens = [reference_total_len(q) for q in queues]
+    shortest = min(lens[i] for i in candidates)
+    return reference_pick([i for i in candidates if lens[i] == shortest], rng)
+
+
 def reference_add_lot(batches, item, batch_size):
     """The scanning ``add_lot`` on a list of (lot type, lot ids) pairs."""
     for lot_type, ids in batches:
@@ -214,11 +246,13 @@ def reference_add_lot(batches, item, batch_size):
 
 
 N_TYPES = 3
+N_MACHINES = 3
 _ops = st.lists(st.tuples(st.sampled_from(["lot", "batch", "pop", "remove"]),
-                          st.integers(0, 1),            # machine
+                          st.integers(0, N_MACHINES - 1),  # machine
                           st.integers(0, N_TYPES - 1),  # lot type
                           st.integers(1, 4),            # batch size drawn
-                          st.integers(0, 99)),          # which batch to remove
+                          st.integers(0, 99),           # batch to remove, rng seed
+                          st.integers(0, N_TYPES)),     # dispatched type; N_TYPES never queued
                 max_size=60)
 
 
@@ -226,10 +260,11 @@ class TestQueueCountersMatchRecount:
     @given(st.booleans(), _ops)
     def test_counters_equal_a_recount(self, batching, ops):
         bs = 3
-        wc = make_batch_wc(2, bs=bs) if batching else make_single_wc(2)
+        n = N_MACHINES
+        wc = make_batch_wc(n, bs=bs) if batching else make_single_wc(n)
         view = wc.view()
-        model = [[], []]  # per machine: lot ids, or (lot type, lot ids) pairs
-        for op, i, lot_type, size, pick in ops:
+        model = [[] for _ in range(n)]  # per machine: lot ids, or (lot type, lot ids) pairs
+        for op, i, lot_type, size, pick, arriving in ops:
             queue = wc.queues[i]
             if op == "lot":
                 item = lot(lot_type)
@@ -265,8 +300,47 @@ class TestQueueCountersMatchRecount:
                 assert dict(Counter(l.lot_type for l in q.lots)) == \
                     {t: c for t, c in q.type_counts.items() if c}
             assert view.queue_lens() == [reference_total_len(q) for q in wc.queues]
+            item = lot(arriving)
+            for rule, reference in ((baseline.choose_single, reference_shortest_queue),
+                                    (flocking.choose_single, reference_separation)):
+                live, scanned = random.Random(pick), random.Random(pick)
+                assert rule(item, view, live) == reference(item, wc.queues, scanned)
+                assert live.getstate() == scanned.getstate()
             for t in range(N_TYPES):
                 got = view.partial_batches(t)
                 want = reference_partial_batches(wc.queues, t, bs)
                 assert [i for i, _ in got] == [i for i, _ in want]
                 assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+
+class TestDispatchReads:
+    def test_no_per_machine_list_outside_the_separation_fallback(self, monkeypatch):
+        # Both rules read the queue index; only flocking's fallback, when
+        # every machine already queues the lot's type, lists every machine.
+        calls = Counter()
+        for name in ("queue_lens", "type_counts"):
+            real = getattr(WorkcenterView, name)
+
+            def counted(self, *args, _name=name, _real=real):
+                calls[_name] += 1
+                return _real(self, *args)
+
+            monkeypatch.setattr(WorkcenterView, name, counted)
+        n = 50
+        wc = make_single_wc(n)
+        view = wc.view()
+        rng = random.Random(3)
+        for i in range(n - 1):
+            fill_queue(wc, i, [0] + [rng.randrange(1, 4) for _ in range(rng.randrange(3))])
+        for t in range(5):  # type 0 queued by all but one machine, type 4 by none
+            assert baseline.choose_single(lot(t), view, rng) == n - 1
+            flocking.choose_single(lot(t), view, rng)
+        assert calls == Counter()
+
+        for i in range(n):
+            if not wc.queues[i].type_counts.get(0):
+                fill_queue(wc, i, [0])
+        baseline.choose_single(lot(0), view, rng)
+        assert calls == Counter()
+        flocking.choose_single(lot(0), view, rng)
+        assert calls == Counter(queue_lens=1, type_counts=1)
