@@ -1,6 +1,6 @@
 """Tick-based job-shop plant simulator with pluggable scheduling policies."""
 
-from .baseline import BaselinePolicy
+from .baseline import BaselinePolicy, pick_uniform, shuffle
 from .engine import (
     SimState,
     SimulationAbort,
@@ -72,8 +72,10 @@ __all__ = [
     "init_run",
     "next_step",
     "parse_scenario",
+    "pick_uniform",
     "run_to_completion",
     "serialize_scenario",
+    "shuffle",
     "small_fab_recipe",
     "summarize",
     "tardiness",

@@ -23,11 +23,34 @@ from .model import (
 )
 
 
+# The two draw primitives take the same bits of ``rng.getrandbits``, in the
+# same order, as CPython's ``Random.choice`` and ``Random.shuffle`` over
+# ``_randbelow_with_getrandbits``, so the stream depends on the Mersenne
+# Twister alone and not on stdlib algorithms that may change between
+# Python versions.
+
 def pick_uniform(items, rng: random.Random):
-    """One element, uniformly at random when there is a real choice."""
-    if len(items) == 1:
+    """One element, uniformly at random when there is a real choice; a
+    one-element sequence draws nothing, an empty one raises IndexError."""
+    n = len(items)
+    if n <= 1:
         return items[0]
-    return rng.choice(items)
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return items[r]
+
+
+def shuffle(items: list, rng: random.Random) -> None:
+    """Shuffle ``items`` in place, uniformly (Fisher-Yates from the back)."""
+    getrandbits = rng.getrandbits
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
 
 
 def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:

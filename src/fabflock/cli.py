@@ -2,7 +2,8 @@
 
 Runs N seeded replications per algorithm over one scenario, writes per-run,
 aggregate, histogram, and comparison CSVs, and prints a comparison table.
-Each ``--algorithm`` may be given once; a repeated name is a usage error.
+Each ``--algorithm`` may be given once; a repeated name is a usage error,
+and so is ``--runs`` outside 1..``MAX_RUNS``.
 Exit codes: 0 success, 1 usage or output error (a closed stdout included),
 2 scenario error, 3 simulation abort.
 """
@@ -30,6 +31,11 @@ EXIT_SCENARIO = 2
 EXIT_SIM = 3
 
 ALGORITHM_NAMES = ("baseline", "flocking")
+#: Most replications per algorithm. ``run_experiment`` keeps every run's
+#: per-lot records until the CSVs are written (about 15 KB per small-fab
+#: run, ten times that on a ten-fold fab), so this bounds its memory like
+#: ``scenario``'s ``MAX_*`` limits bound one run's.
+MAX_RUNS = 10_000
 METRIC_KEYS = ("makespan_ticks", "flow_factor", "tardiness_ticks", "utilization")
 
 
@@ -110,10 +116,16 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     across algorithms and making any single run re-executable in isolation.
     When ``table`` is given, the comparison table is also printed to it once
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
-    replication order. Raises ValueError when a name repeats.
+    replication order. Raises ValueError, before touching ``out_dir``, when
+    no algorithm is given, a name repeats or ``runs`` lies outside
+    1..``MAX_RUNS``.
     """
+    if not algorithms:
+        raise ValueError("at least one algorithm must run")
     if len(set(algorithms)) < len(algorithms):
         raise ValueError(f"each algorithm may run once, got {algorithms}")
+    if not 1 <= runs <= MAX_RUNS:
+        raise ValueError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -191,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="scheduler to run; repeatable, each name once "
                              "(default: both)")
     parser.add_argument("--runs", type=int, default=50,
-                        help="replications per algorithm (default 50)")
+                        help=f"replications per algorithm, 1 to {MAX_RUNS} (default 50)")
     parser.add_argument("--seed", type=int, default=1,
                         help="base seed; replication r uses seed+r (default 1)")
     parser.add_argument("--flsq-len", type=int, default=DEFAULT_FLSQ_LEN,
@@ -210,8 +222,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.runs < 1:
-            raise UsageError("--runs must be >= 1")
+        if not 1 <= args.runs <= MAX_RUNS:
+            raise UsageError(f"--runs must lie in 1..{MAX_RUNS}")
         if args.flsq_len < 1:
             raise UsageError("--flsq-len must be >= 1")
         if args.hist_bin < 1:

@@ -3,11 +3,10 @@
 Every tick executes five phases in this fixed order:
 
 1. Busy machines count down; a machine reaching zero releases every lot of
-   its current batch and becomes idle.
-2. Released lots advance their recipe cursor. Finished lots record the
-   current tick; the rest pick a queue at their next workcenter through the
-   active policy, visited in a seeded random order, and are enqueued at this
-   tick.
+   its current batch, whose recipe cursors advance, and becomes idle.
+2. Released lots, visited in a seeded random order: finished lots record
+   the current tick; the rest pick a queue at their next workcenter through
+   the active policy and are enqueued at this tick.
 3. Idle machines, visited in a seeded random order, try to start: a
    single-step machine lets the policy reorder its queue in place and then
    loads the queue head; a batch machine asks the policy for a batch
@@ -33,7 +32,15 @@ startable exactly ``wt_ticks`` ticks after the timer was armed.
 
 All randomness (dispatch order, machine order, policy tie-breaks) comes from
 one per-run ``random.Random``, making a run a pure function of
-(scenario, policy, seed).
+(scenario, policy, seed). Every draw goes through ``baseline.shuffle`` and
+``baseline.pick_uniform``, which use only its ``getrandbits``.
+
+Per lot, phases 2 and 3 call only the policy hooks (``choose_queue``, then
+``take_single`` or ``take_batch``) and the queue mutators (``add_lot``, then
+``pop_head`` or ``remove_batch``); the engine reads ``state.recipes`` and
+each workcenter's view directly. The initial dispatch of ``init_run`` runs
+the same loop as phase 2. ``next_step`` and ``Workcenter.view`` serve
+callers outside the tick loop.
 """
 
 from __future__ import annotations
@@ -43,7 +50,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
-from .baseline import BaselinePolicy
+from .baseline import BaselinePolicy, shuffle
 from .flocking import first_same_type_distance
 from .metrics import LotRecord, RunResult
 from .model import (
@@ -54,7 +61,7 @@ from .model import (
     MultiQueue,
     Recipe,
     WorkcenterView,
-    next_step,
+    next_step,  # noqa: F401  (bench/run.py traces it under engine.next_step)
 )
 from .scenario import Scenario
 
@@ -74,7 +81,8 @@ class Workcenter:
         self._view = WorkcenterView(self.mtype, self.machines, self.queues)
 
     def view(self) -> WorkcenterView:
-        """The workcenter's one view; it reads the live machines and queues."""
+        """The workcenter's one view; it reads the live machines and queues.
+        The tick loop reads ``_view`` directly."""
         return self._view
 
 
@@ -107,23 +115,32 @@ class SimState:
                       for m, q in zip(wc.machines, wc.queues)]
 
 
-def _enqueue(wc: Workcenter, machine_index: int, lot: Lot, clock: int) -> None:
-    queue = wc.queues[machine_index]
-    was_empty = not queue.size
-    queue.add_lot(lot)
-    lot.enqueue_time = clock
-    machine = wc.machines[machine_index]
-    if was_empty and machine.mtype.kind is MachineKind.BATCH:
-        machine.wt_armed_at = clock
-
-
-def _start(machine: Machine, lots: list[Lot], clock: int) -> None:
-    machine.current_batch = list(lots)
-    machine.busy_remaining = machine.mtype.raw_process_ticks
-    machine.start_count += 1
-    machine.wt_armed_at = None
+def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
+    """Phase 2 after the shuffle, and the initial dispatch: in list order, a
+    lot whose cursor is past its recipe finishes at ``clock``, and every
+    other lot joins the queue the policy chooses at the workcenter of its
+    next step, arming the waiting timer of a batch queue it makes
+    nonempty."""
+    recipes = state.recipes
+    workcenters = state.workcenters
+    policy = state.policy
+    rng = state.rng
     for lot in lots:
-        lot.total_queue_ticks += clock - lot.enqueue_time
+        recipe = recipes[lot.lot_type]
+        cursor = lot.step_cursor
+        if cursor >= len(recipe):
+            lot.finish_time = clock
+            state.finished.append(lot)
+            state.last_finish_tick = clock
+            continue
+        wc = workcenters[recipe[cursor]]
+        view = wc._view
+        target = policy.choose_queue(lot, view, rng)
+        queue = wc.queues[target]
+        if not queue.size and view.kind is MachineKind.BATCH:
+            wc.machines[target].wt_armed_at = clock
+        queue.add_lot(lot)
+        lot.enqueue_time = clock
 
 
 def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
@@ -148,12 +165,8 @@ def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
     state = SimState(scenario=scenario, policy=policy, seed=seed, rng=rng,
                      workcenters=workcenters, lots=lots, recipes=scenario.recipes())
     order = list(lots)
-    rng.shuffle(order)
-    for lot in order:
-        first = next_step(lot, state.recipes)
-        wc = workcenters[first]
-        target = policy.choose_queue(lot, wc.view(), rng)
-        _enqueue(wc, target, lot, clock=0)
+    shuffle(order, rng)
+    _dispatch(state, order, clock=0)
     return state
 
 
@@ -165,53 +178,56 @@ def tick(state: SimState) -> SimState:
     policy = state.policy
     slots = state.slots
 
-    # 1: countdown and release
+    # 1: countdown and release; a released lot's cursor moves to its next step
     released: list[Lot] = []
     for _, m, queue in slots:
         if not m.current_batch:
             continue
         m.busy_remaining -= 1
         if m.busy_remaining == 0:
-            released.extend(m.current_batch)
+            batch = m.current_batch
+            for lot in batch:
+                lot.step_cursor += 1
+            released += batch
             m.current_batch = []
-            queue.index.changed.add(m.index)
+            changed = queue.index.changed
+            if changed is not None:
+                changed.add(m.index)
             if m.mtype.kind is MachineKind.BATCH and queue.size:
                 m.wt_armed_at = clock
 
-    # 2: advance cursors, dispatch to next queues
+    # 2: finish or dispatch to next queues, in shuffled order
     if released:
-        rng.shuffle(released)
-        for lot in released:
-            lot.step_cursor += 1
-            nxt = next_step(lot, state.recipes)
-            if nxt is None:
-                lot.finish_time = clock
-                state.finished.append(lot)
-                state.last_finish_tick = clock
-            else:
-                wc = state.workcenters[nxt]
-                target = policy.choose_queue(lot, wc.view(), rng)
-                _enqueue(wc, target, lot, clock)
+        shuffle(released, rng)
+        _dispatch(state, released, clock)
 
     # 3: idle machines try to start; the shuffled list holds every idle
-    # machine, empty queue or not, so the draws do not depend on occupancy
+    # machine, empty queue or not, so the draws do not depend on occupancy.
+    # Starting credits each loaded lot's queue wait.
     idle = [s for s in slots if not s[1].current_batch]
-    rng.shuffle(idle)
+    shuffle(idle, rng)
     for wc, m, queue in idle:
         if not queue.size:
             continue
-        if m.mtype.kind is MachineKind.SINGLE_STEP:
-            policy.take_single(m, queue, wc.view(), rng)
-            _start(m, [queue.pop_head()], clock)
+        mtype = m.mtype
+        if mtype.kind is MachineKind.SINGLE_STEP:
+            policy.take_single(m, queue, wc._view, rng)
+            lot = queue.pop_head()
+            lot.total_queue_ticks += clock - lot.enqueue_time
+            m.current_batch = [lot]
         else:
-            wt_expired = clock - m.wt_armed_at >= m.mtype.wt_ticks
-            batch = policy.take_batch(m, queue, rng, wt_expired)
+            batch = policy.take_batch(m, queue, rng, clock - m.wt_armed_at >= mtype.wt_ticks)
             if batch is None:
                 continue
             if not batch.lots:
                 raise RuntimeError(f"{policy.name}: returned an empty batch")
             queue.remove_batch(batch)
-            _start(m, batch.lots, clock)
+            for lot in batch.lots:
+                lot.total_queue_ticks += clock - lot.enqueue_time
+            m.current_batch = list(batch.lots)
+        m.busy_remaining = mtype.raw_process_ticks
+        m.start_count += 1
+        m.wt_armed_at = None
 
     # 4 has no work (timers are arm ticks); 5: the clock, busy time is derived
     state.clock = clock + 1
@@ -256,16 +272,18 @@ def audit_state(state: SimState) -> None:
     Checks lot conservation (each lot sits in exactly one queue slot, one
     machine, or the finished set), batch type purity, batch size bounds,
     partial-batch uniqueness per type, and that every queue's counters match
-    its contents: ``size`` its queued lots, a single-step queue's per-type
-    counts its lots, and a batch queue's ``partial`` map exactly its partial
-    batches. An idle batch machine has its waiting timer armed, at a tick
-    no later than the clock, exactly when its queue is nonempty, and once a
-    tick has run it holds no full batch. Every workcenter's ``QueueIndex``
-    must equal a recount: each length bucket the machines with that queue
-    size in machine order, ``min_len`` the lowest size, the holders of a lot
-    type the machines counting it, the partial owners the machines whose
-    ``partial`` holds the type, and no bucket, holder set or owner list
-    empty. Where a workcenter view has built its same-type distance index,
+    its contents: ``size`` its queued lots and a batch queue's ``partial``
+    map exactly its partial batches. An idle batch machine has its waiting
+    timer armed, at a tick no later than the clock, exactly when its queue
+    is nonempty, and once a tick has run it holds no full batch. Every
+    workcenter's ``QueueIndex`` must equal a recount: each length bucket the
+    machines with that queue size in machine order, ``min_len`` the lowest
+    size, the partial owners the machines whose ``partial`` holds the type,
+    and no bucket or owner list empty. A workcenter tracking lot types must
+    have every single-step queue's per-type counts equal to its lots, the
+    holders of a lot type the machines counting it and no holder set empty;
+    an untracked one must hold no lot-type state at all (no holders, marks,
+    type counts or distance index). Where a workcenter view has built its same-type distance index,
     checks it without changing it: every machine not in ``index.changed``
     holds the ``first_same_type_distance`` of each lot type, and the
     per-type counts and sums equal those of the held maps. Debugging aid;
@@ -287,8 +305,6 @@ def audit_state(state: SimState) -> None:
                 f"{m.label}: stale queue size"
             if wc.mtype.kind is MachineKind.SINGLE_STEP:
                 assert not q.batches, f"{m.label}: single-step queue holds batches"
-                assert {t: c for t, c in q.type_counts.items() if c} == \
-                    Counter(l.lot_type for l in q.lots), f"{m.label}: stale type counts"
                 seen.extend(l.id for l in q.lots)
             else:
                 assert not q.lots, f"{m.label}: batch queue holds loose lots"
@@ -317,24 +333,36 @@ def audit_state(state: SimState) -> None:
 
 
 def _audit_queue_index(wc: Workcenter) -> None:
-    index = wc.view().index
+    view = wc.view()
+    index = view.index
     name = f"workcenter {wc.mtype.id}"
     buckets: dict[int, list[int]] = {}
-    holders: dict[int, set[int]] = {}
     owners: dict[int, list[int]] = {}
     for i, q in enumerate(wc.queues):
         buckets.setdefault(q.size, []).append(i)
-        for t, c in q.type_counts.items():
-            if c:
-                holders.setdefault(t, set()).add(i)
         for t in q.partial:
             owners.setdefault(t, []).append(i)
-    for kept in (index.buckets, index.holders, index.partial_owners):
-        assert all(kept.values()), f"{name}: empty bucket, holder set or owner list"
+    for kept in (index.buckets, index.partial_owners):
+        assert all(kept.values()), f"{name}: empty bucket or owner list"
     assert index.buckets == buckets, f"{name}: stale queue-length buckets"
     assert index.min_len == min(buckets), f"{name}: stale shortest queue length"
-    assert index.holders == holders, f"{name}: stale holder sets"
     assert index.partial_owners == owners, f"{name}: stale partial-batch owners"
+    if index.holders is None:
+        assert index.changed is None and view.dist_window is None and \
+            not any(q.type_counts for q in wc.queues), \
+            f"{name}: lot-type state on an untracked workcenter"
+        return
+    assert index.changed is not None and index.changed <= set(range(len(wc.queues))), \
+        f"{name}: tracked without a valid mark set"
+    holders: dict[int, set[int]] = {}
+    for m, q in zip(wc.machines, wc.queues):
+        assert {t: c for t, c in q.type_counts.items() if c} == \
+            Counter(l.lot_type for l in q.lots), f"{m.label}: stale type counts"
+        for t, c in q.type_counts.items():
+            if c:
+                holders.setdefault(t, set()).add(m.index)
+    assert all(index.holders.values()), f"{name}: empty holder set"
+    assert index.holders == holders, f"{name}: stale holder sets"
 
 
 def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> None:

@@ -27,19 +27,23 @@ in ``index.changed``. ``index`` is the workcenter's ``model.QueueIndex``,
 the one object of workcenter-wide state every queue holds as
 ``queue.index`` and the view as ``view.index``. Separation reads the same
 object: its queue-length buckets and per-type holder sets, which the queue
-mutators keep current without marks, so an arriving lot costs
-O(machines in the buckets walked), not O(machines).
+mutators keep current, so an arriving lot costs O(machines in the buckets
+walked), not O(machines). Holder sets and marks exist only once
+``WorkcenterView.track_lot_types`` has run at the workcenter;
+``choose_single`` and ``distance_index`` call it on first use, so a
+baseline run never builds them.
 
-The marking contract: whatever changes a single-step machine's queue window
-or processing type adds the machine's index to ``index.changed``.
-``add_lot`` and ``pop_head`` mark their queue's owner, the engine marks a
-machine when it releases its lot (a start always follows the ``pop_head``
-that marked it), and ``reshuffle_flsq`` marks the machine whose window it
-reordered; a reorder inside ``queue.lots`` leaves the lengths and holders
-valid, so the window is all it changes. Code that sets ``current_batch`` or
-reorders ``queue.lots`` outside these paths, such as a test building a state
-by hand, must mark the machine itself; ``engine.audit_state`` fails on an
-unmarked machine whose entry is stale.
+The marking contract, once tracking has started (which marks every
+machine): whatever changes a single-step machine's queue window or
+processing type adds the machine's index to ``index.changed``. ``add_lot``
+and ``pop_head`` mark their queue's owner, the engine marks a machine when
+it releases its lot (a start always follows the ``pop_head`` that marked
+it), and ``reshuffle_flsq`` marks the machine whose window it reordered; a
+reorder inside ``queue.lots`` leaves the lengths and holders valid, so the
+window is all it changes. Code that sets ``current_batch`` or reorders
+``queue.lots`` outside these paths, such as a test building a state by
+hand, must mark the machine itself while tracking is on;
+``engine.audit_state`` fails on an unmarked machine whose entry is stale.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ import random
 from typing import Sequence
 
 # choose_batch and take_batch stay imported: bench/run.py traces them under these names.
-from .baseline import BaselinePolicy, choose_batch, pick_uniform, take_batch  # noqa: F401
+from .baseline import BaselinePolicy, choose_batch, pick_uniform, shuffle, take_batch  # noqa: F401
 from .model import Lot, Machine, MultiQueue, WorkcenterView
 
 DEFAULT_FLSQ_LEN = 5
@@ -61,10 +65,14 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     While some machine queues none of the type, those machines are the
     fewest, and the index's buckets, walked upward from the shortest length,
     give the shortest of them in machine order. Only when every machine
-    queues the type does the rule scan every machine's counts.
+    queues the type does the rule scan every machine's counts. The first
+    call at a workcenter starts its lot-type tracking.
     """
     index = view.index
-    holders = index.holders.get(lot.lot_type, ())
+    holders = index.holders
+    if holders is None:
+        holders = view.track_lot_types().holders
+    holders = holders.get(lot.lot_type, ())
     if len(holders) < len(view):
         buckets = index.buckets
         n = index.min_len
@@ -131,7 +139,7 @@ def apply_pulls(lots: list[Lot], pulls: dict[int, int],
     """
     w = min(window_len, len(lots))
     order = lots[:w]
-    rng.shuffle(order)
+    shuffle(order, rng)
     for lot in order:
         pull = pulls.get(lot.id, 0)
         if pull == 0:

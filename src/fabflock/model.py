@@ -109,13 +109,19 @@ class QueueIndex:
 
     ``buckets`` maps each queue length some machine has to the indices of
     the machines with that length, ascending, and ``min_len`` is the lowest
-    such length. ``holders`` maps each lot type queued at a single-step
-    machine to the set of machines queueing it; ``partial_owners`` maps each
-    lot type with a partial batch to the ascending indices of the batch
-    machines holding one. A bucket, holder set or owner list is deleted when
-    its last machine leaves it, so none is ever empty. ``changed`` holds the
-    machines whose same-type distances ``WorkcenterView.distance_index``
-    must re-derive; it starts with every machine.
+    such length. ``partial_owners`` maps each lot type with a partial batch
+    to the ascending indices of the batch machines holding one. A bucket or
+    owner list is deleted when its last machine leaves it, so none is ever
+    empty.
+
+    The lot-type state is tracked only once a reader asks for it
+    (``WorkcenterView.track_lot_types``); until then ``holders`` and
+    ``changed`` are None and no queue counts its lot types. Once tracked,
+    ``holders`` maps each lot type queued at a single-step machine to the
+    set of machines queueing it, a set deleted with its last machine, and
+    ``changed`` holds the machines whose same-type distances
+    ``WorkcenterView.distance_index`` must re-derive; it starts with every
+    machine.
 
     Built by the workcenter's view, held by every queue as ``queue.index``;
     it refers to neither, so a finished run is freed by reference counting
@@ -127,9 +133,9 @@ class QueueIndex:
     def __init__(self, n_machines: int):
         self.buckets: dict[int, list[int]] = {0: list(range(n_machines))}
         self.min_len = 0
-        self.holders: dict[int, set[int]] = {}
+        self.holders: dict[int, set[int]] | None = None
         self.partial_owners: dict[int, list[int]] = {}
-        self.changed: set[int] = set(range(n_machines))
+        self.changed: set[int] | None = None
 
     def move(self, i: int, old: int, new: int) -> None:
         """Move machine ``i`` from the bucket of length ``old`` to ``new``.
@@ -158,11 +164,11 @@ class QueueIndex:
 class MultiQueue:
     """Dedicated queue of one machine.
 
-    Single-step owners keep an ordered lot list (index 0 = head) and, in
-    ``type_counts``, how many queued lots each lot type has; ``add_lot`` and
-    ``pop_head`` keep it current, reorders inside ``lots`` leave it valid, and
-    a type whose lots all left keeps a zero entry. Batch owners keep a list of
-    batches; at most one partial batch exists per lot type, so an arriving lot
+    Single-step owners keep an ordered lot list (index 0 = head) and, while
+    the workcenter tracks lot types, in ``type_counts`` how many queued lots
+    each lot type has (empty otherwise); ``add_lot`` and ``pop_head`` keep it
+    current, reorders inside ``lots`` leave it valid, and a type whose lots
+    all left keeps a zero entry. Batch owners keep a list of batches; at most one partial batch exists per lot type, so an arriving lot
     either tops up its type's partial batch or opens a new one. ``partial``
     maps each lot type to that partial batch, so every batch not in it is full.
 
@@ -173,8 +179,10 @@ class MultiQueue:
 
     ``index`` is the ``QueueIndex`` of the owner's workcenter, the one piece
     of workcenter-wide state a queue holds. The workcenter's view sets it
-    when it adopts the queue, and a queue takes lots only after that. Both
-    single-step mutators also mark the owner in ``index.changed``.
+    when it adopts the queue, and a queue takes lots only after that. While
+    the index tracks lot types, both single-step mutators also keep
+    ``index.holders`` and mark the owner in ``index.changed``; one
+    ``is not None`` test skips that work otherwise.
     """
 
     owner: Machine
@@ -208,12 +216,14 @@ class MultiQueue:
         t = lot.lot_type
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
-            counts = self.type_counts
-            c = counts.get(t, 0)
-            counts[t] = c + 1
-            if not c:
-                x.holders.setdefault(t, set()).add(i)
-            x.changed.add(i)
+            holders = x.holders
+            if holders is not None:
+                counts = self.type_counts
+                c = counts.get(t, 0)
+                counts[t] = c + 1
+                if not c:
+                    holders.setdefault(t, set()).add(i)
+                x.changed.add(i)
             return
         batch = self.partial.get(t)
         if batch is None:
@@ -252,15 +262,19 @@ class MultiQueue:
         self.size = n - 1
         x = self.index
         i = self.owner.index
-        counts = self.type_counts
-        c = counts[lot.lot_type] - 1
-        counts[lot.lot_type] = c
-        if not c:
-            holders = x.holders[lot.lot_type]
-            if len(holders) == 1:
-                del x.holders[lot.lot_type]
-            else:
-                holders.remove(i)
+        holders = x.holders
+        if holders is not None:
+            t = lot.lot_type
+            counts = self.type_counts
+            c = counts[t] - 1
+            counts[t] = c
+            if not c:
+                held = holders[t]
+                if len(held) == 1:
+                    del holders[t]
+                else:
+                    held.remove(i)
+            x.changed.add(i)
         buckets = x.buckets  # QueueIndex.move(i, n, n - 1), inlined
         bucket = buckets[n]
         if len(bucket) == 1:
@@ -270,7 +284,6 @@ class MultiQueue:
         insort(buckets.setdefault(n - 1, []), i)
         if x.min_len == n:
             x.min_len = n - 1
-        x.changed.add(i)
         return lot
 
     def remove_batch(self, batch: Batch) -> None:
@@ -313,6 +326,10 @@ class WorkcenterView:
     ``type_counts``) come from counters the queues keep, one lookup per
     machine.
 
+    ``track_lot_types`` builds the lot-type state (``index.holders``,
+    ``index.changed``, the queues' ``type_counts``) on its first call;
+    ``type_count``, ``type_counts`` and ``distance_index`` call it first.
+
     The view also keeps the same-type distance index of one window length
     that ``distance_index`` returns. ``index.changed`` holds the indices of
     the machines whose entry must be re-derived before the next read; it
@@ -352,12 +369,34 @@ class WorkcenterView:
         """``queue_len`` of every machine, in machine order."""
         return [q.size for q in self._queues]
 
+    def track_lot_types(self) -> QueueIndex:
+        """Start tracking lot types, if not yet on, and return the index.
+
+        The first call recounts every single-step queue's lots into its
+        ``type_counts`` and ``index.holders`` and marks every machine in
+        ``index.changed``; from then on the queue mutators keep them.
+        """
+        index = self.index
+        if index.holders is None:
+            holders: dict[int, set[int]] = {}
+            for i, q in enumerate(self._queues):
+                counts = q.type_counts
+                for lot in q.lots:
+                    t = lot.lot_type
+                    counts[t] = counts.get(t, 0) + 1
+                    holders.setdefault(t, set()).add(i)
+            index.holders = holders
+            index.changed = set(range(len(self._queues)))
+        return index
+
     def type_count(self, i: int, lot_type: int) -> int:
         """Queued lots of ``lot_type`` at machine ``i`` (single-step queues)."""
+        self.track_lot_types()
         return self._queues[i].type_counts.get(lot_type, 0)
 
     def type_counts(self, lot_type: int) -> list[int]:
         """``type_count`` of every machine, in machine order."""
+        self.track_lot_types()
         return [q.type_counts.get(lot_type, 0) for q in self._queues]
 
     def processing_type(self, i: int) -> int | None:
@@ -376,7 +415,7 @@ class WorkcenterView:
         mutate the returned containers.
         """
         maps, counts, sums = self.dist_maps, self.dist_counts, self.dist_sums
-        changed = self.index.changed
+        changed = self.track_lot_types().changed
         if window_len != self.dist_window:
             self.dist_window = window_len
             maps[:] = [{} for _ in self._machines]

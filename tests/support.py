@@ -45,7 +45,7 @@ def set_processing(wc: Workcenter, i: int, lot_type: int) -> Lot:
     item = lot(lot_type)
     wc.machines[i].current_batch = [item]
     wc.machines[i].busy_remaining = 1
-    wc.queues[i].index.changed.add(i)
+    wc.view().track_lot_types().changed.add(i)
     return item
 
 
@@ -53,7 +53,7 @@ def set_idle(wc: Workcenter, i: int) -> None:
     """Take machine i's lot off it, as a release does."""
     wc.machines[i].current_batch = []
     wc.machines[i].busy_remaining = 0
-    wc.queues[i].index.changed.add(i)
+    wc.view().track_lot_types().changed.add(i)
 
 
 def add_batch(wc: Workcenter, i: int, lot_type: int, size: int) -> Batch:

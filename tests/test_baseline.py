@@ -1,5 +1,8 @@
 import random
 
+import pytest
+from hypothesis import given, strategies as st
+
 from fabflock import baseline
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import init_run, tick
@@ -133,3 +136,37 @@ class TestTakeBatch:
         for expired in (False, True):
             assert baseline.take_batch(wc.machines[0], wc.queues[0], random.Random(1),
                                        wt_expired=expired) is None
+
+
+class TestDrawPrimitives:
+    # The primitives replace Random.shuffle and Random.choice; they must
+    # draw the same bits in the same order, leaving the same generator state.
+    @given(st.integers(0, 300), st.integers())
+    def test_shuffle_matches_the_stdlib(self, n, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        items, expected = list(range(n)), list(range(n))
+        baseline.shuffle(items, ours)
+        stdlib.shuffle(expected)
+        assert items == expected
+        assert ours.getstate() == stdlib.getstate()
+
+    @given(st.integers(2, 300), st.integers())
+    def test_pick_uniform_matches_choice(self, n, seed):
+        ours, stdlib = random.Random(seed), random.Random(seed)
+        items = [object() for _ in range(n)]
+        assert baseline.pick_uniform(items, ours) is stdlib.choice(items)
+        assert ours.getstate() == stdlib.getstate()
+
+    @given(st.integers())
+    def test_one_element_draws_nothing(self, seed):
+        rng = random.Random(seed)
+        before = rng.getstate()
+        items = ["only"]
+        assert baseline.pick_uniform(items, rng) == "only"
+        baseline.shuffle(items, rng)
+        assert items == ["only"]
+        assert rng.getstate() == before
+
+    def test_pick_from_empty_raises(self):
+        with pytest.raises(IndexError):
+            baseline.pick_uniform([], random.Random(1))

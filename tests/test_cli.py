@@ -126,6 +126,29 @@ class TestExitCodes:
     def test_bad_runs_is_usage_error(self, tmp_path):
         assert cli.main(["--runs", "0", "--out", str(tmp_path / "r")]) == 1
 
+    def test_runs_beyond_the_limit_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main(["--runs", str(cli.MAX_RUNS + 1), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert str(cli.MAX_RUNS) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_no_algorithm_rejected_before_output(self, tiny_path, tmp_path):
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match="at least one algorithm"):
+            cli.run_experiment(cli.load_scenario(str(tiny_path)), [],
+                               runs=1, base_seed=1, out_dir=out)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("runs", [0, -1, cli.MAX_RUNS + 1])
+    def test_runs_out_of_range_rejected_before_output(self, tiny_path, tmp_path, runs):
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match="runs must lie in"):
+            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline"],
+                               runs=runs, base_seed=1, out_dir=out)
+        assert not out.exists()
+
     def test_repeated_algorithm_is_usage_error(self, tiny_path, tmp_path, capsys):
         out = tmp_path / "r"
         code = cli.main(["--scenario", str(tiny_path), "--runs", "2", "--out", str(out),

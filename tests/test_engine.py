@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from fabflock import engine
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import (
     SimulationAbort,
@@ -214,6 +215,41 @@ class TestOccupancyReads:
         assert calls == Counter()
 
 
+class TestPerLotWork:
+    @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
+    def test_ticks_call_neither_next_step_nor_view(self, policy_cls, monkeypatch):
+        # Phases 2 and 3 read the recipes and each workcenter's view
+        # directly; both helpers stay for callers outside the tick loop.
+        state = init_run(build_small_fab(), policy_cls(), seed=1)
+        calls = Counter()
+        real_next_step, real_view = engine.next_step, engine.Workcenter.view
+
+        def next_step(*args):
+            calls["next_step"] += 1
+            return real_next_step(*args)
+
+        def view(self):
+            calls["view"] += 1
+            return real_view(self)
+
+        monkeypatch.setattr(engine, "next_step", next_step)
+        monkeypatch.setattr(engine.Workcenter, "view", view)
+        while len(state.finished) < len(state.lots):
+            tick(state)
+        assert calls == Counter()
+
+    def test_baseline_run_never_tracks_lot_types(self):
+        # Holder sets, per-queue type counts and FLSQ marks serve only
+        # flocking; a baseline run must never build them.
+        state = init_run(build_small_fab(), BaselinePolicy(), seed=1)
+        run_to_completion(state)
+        for wc in state.workcenters.values():
+            index = wc.view().index
+            assert index.holders is None and index.changed is None
+            assert all(q.type_counts == {} for q in wc.queues)
+        audit_state(state)
+
+
 class TestFinishedRunMemory:
     @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
     def test_freed_without_the_cycle_collector_and_index_drained(self, policy_cls):
@@ -226,7 +262,7 @@ class TestFinishedRunMemory:
             state = init_run(build_small_fab(), policy_cls(), seed=1)
             run_to_completion(state)
             for wc in state.workcenters.values():
-                index = wc.view().index
+                index = wc.view().track_lot_types()
                 assert index.buckets == {0: list(range(len(wc.machines)))}
                 assert index.min_len == 0
                 assert index.holders == {} and index.partial_owners == {}

@@ -263,6 +263,7 @@ class TestQueueCountersMatchRecount:
         n = N_MACHINES
         wc = make_batch_wc(n, bs=bs) if batching else make_single_wc(n)
         view = wc.view()
+        view.track_lot_types()
         model = [[] for _ in range(n)]  # per machine: lot ids, or (lot type, lot ids) pairs
         for op, i, lot_type, size, pick, arriving in ops:
             queue = wc.queues[i]
@@ -311,6 +312,66 @@ class TestQueueCountersMatchRecount:
                 want = reference_partial_batches(wc.queues, t, bs)
                 assert [i for i, _ in got] == [i for i, _ in want]
                 assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+
+_single_ops = st.lists(st.tuples(st.booleans(),                 # add, else pop
+                                 st.integers(0, N_MACHINES - 1),
+                                 st.integers(0, N_TYPES - 1)),
+                       max_size=40)
+
+
+def recount_holders(wc):
+    holders = {}
+    for i, q in enumerate(wc.queues):
+        for item in q.lots:
+            holders.setdefault(item.lot_type, set()).add(i)
+    return holders
+
+
+class TestLotTypeTracking:
+    @given(_single_ops, _single_ops, st.integers(0, N_TYPES), st.integers(0, 99))
+    def test_tracking_started_late_equals_a_recount(self, before, after, arriving, seed):
+        wc = make_single_wc(N_MACHINES)
+        view = wc.view()
+
+        def apply(ops):
+            """Run the ops; returns the machines whose queue a mutator changed."""
+            touched = set()
+            for add, i, lot_type in ops:
+                if add:
+                    wc.queues[i].add_lot(lot(lot_type))
+                elif wc.queues[i].lots:
+                    wc.queues[i].pop_head()
+                else:
+                    continue
+                touched.add(i)
+            return touched
+
+        def assert_counts_equal_a_recount():
+            assert index.holders == recount_holders(wc)
+            for q in wc.queues:
+                assert {t: c for t, c in q.type_counts.items() if c} == \
+                    dict(Counter(l.lot_type for l in q.lots))
+            assert view.type_counts(arriving) == \
+                [sum(l.lot_type == arriving for l in q.lots) for q in wc.queues]
+
+        apply(before)
+        index = view.index
+        assert index.holders is None and index.changed is None
+        assert all(q.type_counts == {} for q in wc.queues)
+        # Separation starts tracking on first use and still equals the scan.
+        live, scanned = random.Random(seed), random.Random(seed)
+        item = lot(arriving)
+        assert flocking.choose_single(item, view, live) == \
+            reference_separation(item, wc.queues, scanned)
+        assert live.getstate() == scanned.getstate()
+        assert view.track_lot_types() is index
+        assert index.changed == set(range(N_MACHINES))
+        assert_counts_equal_a_recount()
+        # From then on the mutators keep the counts and mark what they touch.
+        index.changed.clear()
+        assert index.changed == apply(after)
+        assert_counts_equal_a_recount()
 
 
 class TestDispatchReads:
