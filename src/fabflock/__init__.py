@@ -29,7 +29,6 @@ from .model import (
     MultiQueue,
     Recipe,
     WorkcenterView,
-    batch_missing,
     next_step,
 )
 from .scenario import (
@@ -66,7 +65,6 @@ __all__ = [
     "SimulationAbort",
     "WorkcenterView",
     "audit_state",
-    "batch_missing",
     "build_small_fab",
     "flow_factor",
     "init_run",

@@ -19,7 +19,6 @@ from .model import (
     MachineKind,
     MultiQueue,
     WorkcenterView,
-    batch_missing,
 )
 
 
@@ -64,14 +63,16 @@ def choose_batch(lot: Lot, view: WorkcenterView, rng: random.Random) -> tuple[in
     """Queue choice at a batch workcenter: (machine index, "join" | "new").
 
     Joins the workcenter's partial batch of the lot's type that misses the
-    fewest lots; with none anywhere, opens a new batch at the machine with
-    the shortest overall queue. Ties uniform.
+    fewest lots, that is the fullest one, since every batch of the
+    workcenter has the same size limit; with none anywhere, opens a new
+    batch at the machine with the shortest overall queue. Ties uniform.
+    Each machine holds at most one partial batch per type, so the
+    candidates are the type's partial-batch owners, usually none or one.
     """
     partials = view.partial_batches(lot.lot_type)
     if partials:
-        fewest = min(batch_missing(b, view.batch_size) for _, b in partials)
-        ties = [i for i, b in partials if batch_missing(b, view.batch_size) == fewest]
-        return pick_uniform(ties, rng), "join"
+        fullest = max(len(b.lots) for _, b in partials)
+        return pick_uniform([i for i, b in partials if len(b.lots) == fullest], rng), "join"
     return choose_single(lot, view, rng), "new"
 
 

@@ -117,8 +117,9 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     When ``table`` is given, the comparison table is also printed to it once
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
     replication order. Raises ValueError, before touching ``out_dir``, when
-    no algorithm is given, a name repeats or ``runs`` lies outside
-    1..``MAX_RUNS``.
+    no algorithm is given, a name repeats, ``runs`` lies outside
+    1..``MAX_RUNS``, or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is
+    below 1.
     """
     if not algorithms:
         raise ValueError("at least one algorithm must run")
@@ -126,6 +127,10 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
         raise ValueError(f"each algorithm may run once, got {algorithms}")
     if not 1 <= runs <= MAX_RUNS:
         raise ValueError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
+    for name, value in (("flsq_len", flsq_len), ("hist_bin", hist_bin),
+                        ("horizon_factor", horizon_factor)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 

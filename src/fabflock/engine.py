@@ -239,7 +239,11 @@ def run_to_completion(state: SimState, horizon_factor: int = 100) -> RunResult:
 
     Aborts with SimulationAbort when more than horizon_factor x the total raw
     process ticks of the lot population pass without any lot finishing.
+    Raises ValueError, before the first tick, when ``horizon_factor`` is
+    below 1: such a horizon is shorter than the work itself.
     """
+    if horizon_factor < 1:
+        raise ValueError(f"horizon_factor must be >= 1, got {horizon_factor}")
     total = len(state.lots)
     rpt_by_type = state.scenario.rpt_by_type()
     horizon = max(1, horizon_factor * sum(rpt_by_type[l.lot_type] for l in state.lots))
@@ -283,11 +287,11 @@ def audit_state(state: SimState) -> None:
     have every single-step queue's per-type counts equal to its lots, the
     holders of a lot type the machines counting it and no holder set empty;
     an untracked one must hold no lot-type state at all (no holders, marks,
-    type counts or distance index). Where a workcenter view has built its same-type distance index,
-    checks it without changing it: every machine not in ``index.changed``
-    holds the ``first_same_type_distance`` of each lot type, and the
-    per-type counts and sums equal those of the held maps. Debugging aid;
-    the engine never calls it on its own.
+    type counts or distance index). Where a workcenter view has built its
+    same-type distance index, checks it without changing it: every machine
+    not in ``index.changed`` holds the ``first_same_type_distance`` of each
+    lot type, and the per-type counts and sums equal those of the held
+    maps. Debugging aid; the engine never calls it on its own.
     """
     seen: list[int] = []
     for wc in state.workcenters.values():

@@ -28,7 +28,9 @@ the one object of workcenter-wide state every queue holds as
 ``queue.index`` and the view as ``view.index``. Separation reads the same
 object: its queue-length buckets and per-type holder sets, which the queue
 mutators keep current, so an arriving lot costs O(machines in the buckets
-walked), not O(machines). Holder sets and marks exist only once
+walked), not O(machines). Only when every machine already queues the
+lot's type does it cost one pass over the machines' type counts, before the
+same walk. Holder sets and marks exist only once
 ``WorkcenterView.track_lot_types`` has run at the workcenter;
 ``choose_single`` and ``distance_index`` call it on first use, so a
 baseline run never builds them.
@@ -62,33 +64,36 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     """Among the queues with the fewest lots of the lot's own type, take the
     shortest; remaining ties uniform.
 
-    While some machine queues none of the type, those machines are the
-    fewest, and the index's buckets, walked upward from the shortest length,
-    give the shortest of them in machine order. Only when every machine
-    queues the type does the rule scan every machine's counts. The first
-    call at a workcenter starts its lot-type tracking.
+    One walk of the index's buckets, upward from the shortest length, meets
+    the fewest-type machines shortest first and, within a length, in
+    machine order; the first bucket holding any of them gives the ties.
+    While some machine queues none of the type, those machines, the ones
+    outside the type's holder set, are the fewest. Only when every machine
+    queues the type does the rule read every machine's count of it, one
+    ``type_counts`` pass, and walk for the machines at its minimum. The
+    first call at a workcenter starts its lot-type tracking.
     """
     index = view.index
     holders = index.holders
     if holders is None:
         holders = view.track_lot_types().holders
     holders = holders.get(lot.lot_type, ())
-    if len(holders) < len(view):
-        buckets = index.buckets
-        n = index.min_len
-        while True:
-            bucket = buckets.get(n)
-            if bucket is not None:
+    counts = None
+    if len(holders) == len(view):
+        counts = view.type_counts(lot.lot_type)
+        least = min(counts)
+    buckets = index.buckets
+    n = index.min_len
+    while True:
+        bucket = buckets.get(n)
+        if bucket is not None:
+            if counts is None:
                 ties = [i for i in bucket if i not in holders]
-                if ties:
-                    return pick_uniform(ties, rng)
-            n += 1
-    counts = view.type_counts(lot.lot_type)
-    least = min(counts)
-    candidates = [i for i, c in enumerate(counts) if c == least]
-    lens = view.queue_lens()
-    shortest = min(lens[i] for i in candidates)
-    return pick_uniform([i for i in candidates if lens[i] == shortest], rng)
+            else:
+                ties = [i for i in bucket if counts[i] == least]
+            if ties:
+                return pick_uniform(ties, rng)
+        n += 1
 
 
 def first_same_type_distance(lot_type: int, view: WorkcenterView,
@@ -201,4 +206,6 @@ class FlockingPolicy(BaselinePolicy):
         return choose_single(lot, view, rng)
 
     def take_single(self, machine, queue, view, rng):
-        take_single(machine, queue, view, rng, self.flsq_len)
+        """Reshuffle the window; a queue of one lot has nothing to reorder."""
+        if queue.size > 1:
+            take_single(machine, queue, view, rng, self.flsq_len)

@@ -168,9 +168,10 @@ class MultiQueue:
     the workcenter tracks lot types, in ``type_counts`` how many queued lots
     each lot type has (empty otherwise); ``add_lot`` and ``pop_head`` keep it
     current, reorders inside ``lots`` leave it valid, and a type whose lots
-    all left keeps a zero entry. Batch owners keep a list of batches; at most one partial batch exists per lot type, so an arriving lot
-    either tops up its type's partial batch or opens a new one. ``partial``
-    maps each lot type to that partial batch, so every batch not in it is full.
+    all left keeps a zero entry. Batch owners keep a list of batches; at
+    most one partial batch exists per lot type, so an arriving lot either
+    tops up its type's partial batch or opens a new one. ``partial`` maps
+    each lot type to that partial batch, so every batch not in it is full.
 
     ``size`` is the number of queued lots of either kind. Lots enter only
     through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
@@ -212,7 +213,11 @@ class MultiQueue:
                 x.min_len = n + 1
         else:
             bucket.remove(i)
-        insort(buckets.setdefault(n + 1, []), i)
+        bucket = buckets.get(n + 1)
+        if bucket is None:
+            buckets[n + 1] = [i]
+        else:
+            insort(bucket, i)
         t = lot.lot_type
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
@@ -281,7 +286,11 @@ class MultiQueue:
             del buckets[n]
         else:
             bucket.remove(i)
-        insort(buckets.setdefault(n - 1, []), i)
+        bucket = buckets.get(n - 1)
+        if bucket is None:
+            buckets[n - 1] = [i]
+        else:
+            insort(bucket, i)
         if x.min_len == n:
             x.min_len = n - 1
         return lot
@@ -322,9 +331,9 @@ class WorkcenterView:
     questions without visiting the machines: the shortest queues are
     ``index.buckets[index.min_len]``, the machines queueing a lot type are
     ``index.holders``, and ``partial_batches`` reads only the machines in
-    ``index.partial_owners``. The per-machine reads (``queue_lens``,
-    ``type_counts``) come from counters the queues keep, one lookup per
-    machine.
+    ``index.partial_owners``. The one per-machine list, ``type_counts``,
+    comes from counters the queues keep, one lookup per machine; queue
+    lengths are read per machine (``queue_len``) or from the buckets.
 
     ``track_lot_types`` builds the lot-type state (``index.holders``,
     ``index.changed``, the queues' ``type_counts``) on its first call;
@@ -364,10 +373,6 @@ class WorkcenterView:
 
     def queue_len(self, i: int) -> int:
         return self._queues[i].size
-
-    def queue_lens(self) -> list[int]:
-        """``queue_len`` of every machine, in machine order."""
-        return [q.size for q in self._queues]
 
     def track_lot_types(self) -> QueueIndex:
         """Start tracking lot types, if not yet on, and return the index.
@@ -411,11 +416,17 @@ class WorkcenterView:
         """``(dist_maps, dist_counts, dist_sums)`` for ``window_len``, current.
 
         Re-derives only the machines in ``index.changed``; a window length
-        other than the last one rebuilds every machine. The caller must not
-        mutate the returned containers.
+        other than the last one rebuilds every machine. A re-derivation
+        updates the totals by difference: a type new to the machine's map
+        adds one to its count and its distance to its sum, a type gone from
+        it takes them away, and a type whose distance moved changes only its
+        sum, by the move. A type no machine shows keeps a zero count. The
+        caller must not mutate the returned containers.
         """
         maps, counts, sums = self.dist_maps, self.dist_counts, self.dist_sums
-        changed = self.track_lot_types().changed
+        changed = self.index.changed
+        if changed is None:
+            changed = self.track_lot_types().changed
         if window_len != self.dist_window:
             self.dist_window = window_len
             maps[:] = [{} for _ in self._machines]
@@ -423,13 +434,18 @@ class WorkcenterView:
             sums.clear()
             changed.update(range(len(maps)))
         for i in changed:
-            for t, d in maps[i].items():
-                counts[t] -= 1
-                sums[t] -= d
+            held = maps[i]  # replaced below, so emptied as it is compared
             fresh = machine_distances(self._machines[i], self._queues[i], window_len)
             for t, d in fresh.items():
-                counts[t] = counts.get(t, 0) + 1
-                sums[t] = sums.get(t, 0) + d
+                old = held.pop(t, None)
+                if old is None:
+                    counts[t] = counts.get(t, 0) + 1
+                    sums[t] = sums.get(t, 0) + d
+                elif old != d:
+                    sums[t] += d - old
+            for t, old in held.items():
+                counts[t] -= 1
+                sums[t] -= old
             maps[i] = fresh
         changed.clear()
         return maps, counts, sums
@@ -463,8 +479,3 @@ def next_step(lot: Lot, recipes: Mapping[int, Recipe]) -> int | None:
     if lot.step_cursor >= len(recipe):
         return None
     return recipe[lot.step_cursor]
-
-
-def batch_missing(batch: Batch, batch_size: int) -> int:
-    """Lots still needed to fill the batch."""
-    return batch_size - len(batch.lots)

@@ -68,6 +68,52 @@ class TestChooseBatch:
         assert (choice, action) == (0, "join")
 
 
+def reference_choose_batch(item, queues, batch_size, rng):
+    """The scanning ``choose_batch``: every machine's every batch, the
+    partial ones of the lot's type ranked by the lots they still miss."""
+    missing = [(i, batch_size - len(b.lots)) for i, q in enumerate(queues)
+               for b in q.batches if b.lot_type == item.lot_type and len(b.lots) < batch_size]
+    if missing:
+        fewest = min(m for _, m in missing)
+        ties = [i for i, m in missing if m == fewest]
+        return (ties[0] if len(ties) == 1 else rng.choice(ties)), "join"
+    sizes = [q.size for q in queues]
+    shortest = [i for i, n in enumerate(sizes) if n == min(sizes)]
+    return (shortest[0] if len(shortest) == 1 else rng.choice(shortest)), "new"
+
+
+@st.composite
+def _batch_workcenter(draw):
+    """(batch size, per machine a list of (lot type, size) batches with at
+    most one partial per type, arriving lot type, seed). A machine holds a
+    partial batch of type 0 with odds 3 in 4 and of types 1 and 2 with odds
+    1 in 4, so type 0 has several; type 3 is never queued."""
+    bs = draw(st.integers(2, 6))
+    machines = []
+    for _ in range(draw(st.integers(1, 8))):
+        batches = [(t, bs) for t in draw(st.lists(st.integers(0, 2), max_size=3))]
+        for t, odds in enumerate((3, 1, 1)):
+            if draw(st.integers(0, 3)) < odds:
+                batches.append((t, draw(st.integers(1, bs - 1))))
+        machines.append(draw(st.permutations(batches)))
+    return bs, machines, draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16))
+
+
+class TestChooseBatchMatchesTheScan:
+    @given(_batch_workcenter())
+    def test_index_tag_and_draws_equal_the_scanning_rule(self, case):
+        bs, machines, arriving, seed = case
+        wc = make_batch_wc(len(machines), bs=bs)
+        for i, batches in enumerate(machines):
+            for lot_type, size in batches:
+                add_batch(wc, i, lot_type, size)
+        item = lot(arriving)
+        live, scanned = random.Random(seed), random.Random(seed)
+        assert baseline.choose_batch(item, wc.view(), live) == \
+            reference_choose_batch(item, wc.queues, bs, scanned)
+        assert live.getstate() == scanned.getstate()
+
+
 class TestTakeSingle:
     """FIFO needs no code: the hook leaves the queue alone and the engine loads
     the head."""

@@ -5,26 +5,7 @@ a name the package stops defining would crash only the traced benchmark run.
 This test imports the script without running it and changes nothing there.
 """
 
-import importlib.util
 import sys
-from pathlib import Path
-
-import pytest
-
-RUN_PY = Path(__file__).resolve().parents[1] / "bench" / "run.py"
-
-
-@pytest.fixture(scope="module")
-def bench_run():
-    saved_path = list(sys.path)
-    spec = importlib.util.spec_from_file_location("fabflock_bench_run", RUN_PY)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # its dataclasses look their module up
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.path[:] = saved_path
-    return module
 
 
 def test_every_traced_site_is_defined_where_it_is_looked_up(bench_run):

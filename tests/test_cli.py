@@ -149,6 +149,20 @@ class TestExitCodes:
                                runs=runs, base_seed=1, out_dir=out)
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, value, algorithm", [
+        ("hist_bin", 0, "baseline"),          # used to write runs.csv first
+        ("flsq_len", 0, "flocking"),          # used to create the directory first
+        ("horizon_factor", 0, "baseline"),    # used to abort at tick 2
+        ("horizon_factor", -5, "baseline"),
+    ])
+    def test_setting_below_one_rejected_before_output(self, tmp_path, setting, value,
+                                                      algorithm):
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
+            cli.run_experiment(cli.load_scenario("smallfab"), [algorithm], runs=2,
+                               base_seed=1, out_dir=out, **{setting: value})
+        assert not out.exists()
+
     def test_repeated_algorithm_is_usage_error(self, tiny_path, tmp_path, capsys):
         out = tmp_path / "r"
         code = cli.main(["--scenario", str(tiny_path), "--runs", "2", "--out", str(out),

@@ -279,3 +279,10 @@ class TestLivelockGuard:
         sc = scenario_of([batch_type(rpt=1, bs=2, wt=10 ** 6)], [lots_spec(0, 1, [0])])
         with pytest.raises(SimulationAbort, match="no lot finished"):
             run(sc, BaselinePolicy(), seed=1, horizon_factor=5)
+
+    @pytest.mark.parametrize("factor", [0, -5])
+    def test_horizon_below_the_work_is_rejected_before_a_tick(self, factor):
+        state = init_run(build_small_fab(), BaselinePolicy(), seed=1)
+        with pytest.raises(ValueError, match="horizon_factor must be >= 1"):
+            run_to_completion(state, horizon_factor=factor)
+        assert state.clock == 0

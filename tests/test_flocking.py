@@ -1,7 +1,7 @@
 import random
 from types import SimpleNamespace
 
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fabflock import baseline, flocking, model
 from fabflock.flocking import (
@@ -297,6 +297,10 @@ def _check_index_against_reference(wc, window):
 _M = 4
 _step = st.one_of(
     st.tuples(st.just("add"), st.integers(0, _M - 1), st.integers(0, N_TYPES - 1)),
+    # A burst of lots at one machine: repeated types, so that a later pop or
+    # start moves a type's distance while the type stays in the window.
+    st.tuples(st.just("fill"), st.integers(0, _M - 1),
+              st.lists(st.integers(0, N_TYPES - 1), min_size=2, max_size=6)),
     st.tuples(st.just("pop"), st.integers(0, _M - 1)),
     st.tuples(st.just("reshuffle"), st.integers(0, _M - 1), st.integers(0, 2 ** 16)),
     st.tuples(st.just("start"), st.integers(0, _M - 1), st.integers(0, N_TYPES - 1)),
@@ -307,6 +311,9 @@ _step = st.one_of(
 
 class TestDistanceIndex:
     @given(st.lists(_step, max_size=40), st.integers(1, 6))
+    # Distances that move while their type stays: 1 and 2 swap on the pop,
+    # and type 2 goes from position 1 to 0 on the start.
+    @example([("fill", 0, [1, 2, 1]), ("pop", 0), ("start", 0, 2)], 5)
     def test_stays_equal_to_the_reference_under_any_interleaving(self, steps, window):
         wc = make_single_wc(_M)
         view = wc.view()
@@ -315,6 +322,8 @@ class TestDistanceIndex:
             op, arg = step[0], step[1:]
             if op == "add":
                 fill_queue(wc, arg[0], [arg[1]])
+            elif op == "fill":
+                fill_queue(wc, arg[0], arg[1])
             elif op == "pop" and wc.queues[arg[0]].lots:
                 wc.queues[arg[0]].pop_head()
             elif op == "reshuffle":

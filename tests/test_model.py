@@ -14,7 +14,6 @@ from fabflock.model import (
     MachineType,
     MultiQueue,
     WorkcenterView,
-    batch_missing,
     next_step,
 )
 from fabflock.scenario import build_small_fab
@@ -39,17 +38,6 @@ class TestNextStep:
     def test_unknown_lot_type(self):
         with pytest.raises(ConfigError):
             next_step(Lot(id=0, lot_type=99), self.RECIPES)
-
-
-class TestBatchMissing:
-    def test_partial(self):
-        assert batch_missing(Batch(0, [lot(0) for _ in range(3)]), 4) == 1
-
-    def test_full(self):
-        assert batch_missing(Batch(0, [lot(0) for _ in range(4)]), 4) == 0
-
-    def test_empty(self):
-        assert batch_missing(Batch(0, []), 4) == 4
 
 
 class TestQueueTotalLen:
@@ -83,7 +71,7 @@ class TestQueueStartsEmpty:
         fill_queue(wc, 0, [3, 3])
         view = wc.view()
         assert view.type_counts(3) == [2]
-        assert view.queue_lens() == [2]
+        assert [q.size for q in wc.queues] == [2]
 
     def test_a_view_adopts_only_empty_queues(self):
         # A second view over filled queues would start its index from empty.
@@ -300,7 +288,7 @@ class TestQueueCountersMatchRecount:
                 assert q.has_full_batch() == reference_has_full_batch(q)
                 assert dict(Counter(l.lot_type for l in q.lots)) == \
                     {t: c for t, c in q.type_counts.items() if c}
-            assert view.queue_lens() == [reference_total_len(q) for q in wc.queues]
+            assert [q.size for q in wc.queues] == [reference_total_len(q) for q in wc.queues]
             item = lot(arriving)
             for rule, reference in ((baseline.choose_single, reference_shortest_queue),
                                     (flocking.choose_single, reference_separation)):
@@ -312,6 +300,34 @@ class TestQueueCountersMatchRecount:
                 want = reference_partial_batches(wc.queues, t, bs)
                 assert [i for i, _ in got] == [i for i, _ in want]
                 assert all(a is b for (_, a), (_, b) in zip(got, want))
+
+
+@st.composite
+def _every_machine_queues_the_type(draw):
+    """(per machine its queued lot types, each holding type 0 at least
+    once, whether tracking starts before the lots arrive, seed)."""
+    queues = []
+    for _ in range(draw(st.integers(2, 12))):
+        types = [0] * draw(st.integers(1, 3)) + draw(st.lists(st.integers(1, 3), max_size=4))
+        queues.append(draw(st.permutations(types)))
+    return queues, draw(st.booleans()), draw(st.integers(0, 2 ** 16))
+
+
+class TestSeparationFallback:
+    @given(_every_machine_queues_the_type())
+    def test_equals_the_scan_when_every_machine_queues_the_type(self, case):
+        queues, track_first, seed = case
+        wc = make_single_wc(len(queues))
+        view = wc.view()
+        if track_first:
+            view.track_lot_types()
+        for i, types in enumerate(queues):
+            fill_queue(wc, i, types)
+        item = lot(0)
+        live, scanned = random.Random(seed), random.Random(seed)
+        assert flocking.choose_single(item, view, live) == \
+            reference_separation(item, wc.queues, scanned)
+        assert live.getstate() == scanned.getstate()
 
 
 _single_ops = st.lists(st.tuples(st.booleans(),                 # add, else pop
@@ -379,7 +395,7 @@ class TestDispatchReads:
         # Both rules read the queue index; only flocking's fallback, when
         # every machine already queues the lot's type, lists every machine.
         calls = Counter()
-        for name in ("queue_lens", "type_counts"):
+        for name in ("type_counts",):
             real = getattr(WorkcenterView, name)
 
             def counted(self, *args, _name=name, _real=real):
@@ -404,4 +420,4 @@ class TestDispatchReads:
         baseline.choose_single(lot(0), view, rng)
         assert calls == Counter()
         flocking.choose_single(lot(0), view, rng)
-        assert calls == Counter(queue_lens=1, type_counts=1)
+        assert calls == Counter(type_counts=1)
