@@ -48,7 +48,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from collections.abc import Iterable
-from dataclasses import dataclass, field
 
 from .baseline import BaselinePolicy, shuffle
 from .flocking import first_same_type_distance
@@ -70,15 +69,17 @@ class SimulationAbort(RuntimeError):
     """No lot finished within the livelock horizon."""
 
 
-@dataclass
 class Workcenter:
-    mtype: MachineType
-    machines: list[Machine]
-    queues: list[MultiQueue]
-    _view: WorkcenterView = field(init=False, repr=False, compare=False)
+    """The machines of one machine type, their queues, and the one view
+    built over them (``view``)."""
 
-    def __post_init__(self) -> None:
-        self._view = WorkcenterView(self.mtype, self.machines, self.queues)
+    __slots__ = ("mtype", "machines", "queues", "_view")
+
+    def __init__(self, mtype: MachineType, machines: list[Machine], queues: list[MultiQueue]):
+        self.mtype = mtype
+        self.machines = machines
+        self.queues = queues
+        self._view = WorkcenterView(mtype, machines, queues)
 
     def view(self) -> WorkcenterView:
         """The workcenter's one view; it reads the live machines and queues.
@@ -91,28 +92,32 @@ class Workcenter:
 Slot = tuple[Workcenter, Machine, MultiQueue]
 
 
-@dataclass
 class SimState:
-    """Live state of one run. ``slots`` lists every machine in workcenter-id
-    then machine-index order, the order every tick phase visits them in; it
-    is built once."""
+    """Live state of one run, from tick ``clock`` on. ``finished`` lists the
+    finished lots in finishing order, and ``last_finish_tick`` is the tick
+    the last of them finished at (0 before any). ``slots`` lists every
+    machine in workcenter-id then machine-index order, the order every tick
+    phase visits them in; the constructor builds it once."""
 
-    scenario: Scenario
-    policy: BaselinePolicy
-    seed: int
-    rng: random.Random
-    workcenters: dict[int, Workcenter]
-    lots: list[Lot]
-    recipes: dict[int, Recipe]
-    clock: int = 0
-    finished: list[Lot] = field(default_factory=list)
-    last_finish_tick: int = 0
-    slots: list[Slot] = field(init=False, repr=False)
+    __slots__ = ("scenario", "policy", "seed", "rng", "workcenters", "lots", "recipes",
+                 "clock", "finished", "last_finish_tick", "slots")
 
-    def __post_init__(self) -> None:
-        self.slots = [(wc, m, q)
-                      for _, wc in sorted(self.workcenters.items())
-                      for m, q in zip(wc.machines, wc.queues)]
+    def __init__(self, scenario: Scenario, policy: BaselinePolicy, seed: int,
+                 rng: random.Random, workcenters: dict[int, Workcenter], lots: list[Lot],
+                 recipes: dict[int, Recipe]):
+        self.scenario = scenario
+        self.policy = policy
+        self.seed = seed
+        self.rng = rng
+        self.workcenters = workcenters
+        self.lots = lots
+        self.recipes = recipes
+        self.clock = 0
+        self.finished: list[Lot] = []
+        self.last_finish_tick = 0
+        self.slots: list[Slot] = [(wc, m, q)
+                                  for _, wc in sorted(workcenters.items())
+                                  for m, q in zip(wc.machines, wc.queues)]
 
 
 def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:

@@ -2,40 +2,47 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .model import ConfigError
+from .model import ConfigError, Record, _set
 
 
-@dataclass(frozen=True)
-class LotRecord:
+class LotRecord(Record):
     """Per-lot outcome of one run."""
 
-    lot_id: int
-    lot_type: int
-    finish_time: int
-    queue_ticks: int
-    rpt_ticks: int
+    __slots__ = ("lot_id", "lot_type", "finish_time", "queue_ticks", "rpt_ticks")
+
+    def __init__(self, lot_id: int, lot_type: int, finish_time: int, queue_ticks: int,
+                 rpt_ticks: int):
+        _set(self, "lot_id", lot_id)
+        _set(self, "lot_type", lot_type)
+        _set(self, "finish_time", finish_time)
+        _set(self, "queue_ticks", queue_ticks)
+        _set(self, "rpt_ticks", rpt_ticks)
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record):
     """Everything one replication produced."""
 
-    algorithm: str
-    seed: int
-    machine_count: int
-    makespan: int
-    lots: tuple[LotRecord, ...]
-    busy_ticks: dict[str, int]
+    __slots__ = ("algorithm", "seed", "machine_count", "makespan", "lots", "busy_ticks")
+
+    def __init__(self, algorithm: str, seed: int, machine_count: int, makespan: int,
+                 lots: tuple[LotRecord, ...], busy_ticks: dict[str, int]):
+        _set(self, "algorithm", algorithm)
+        _set(self, "seed", seed)
+        _set(self, "machine_count", machine_count)
+        _set(self, "makespan", makespan)
+        _set(self, "lots", lots)
+        _set(self, "busy_ticks", busy_ticks)
 
 
-@dataclass(frozen=True)
-class MetricsSummary:
-    makespan: int
-    flow_factor: float
-    tardiness: float
-    utilization: float
+class MetricsSummary(Record):
+    __slots__ = ("makespan", "flow_factor", "tardiness", "utilization")
+
+    def __init__(self, makespan: int, flow_factor: float, tardiness: float,
+                 utilization: float):
+        _set(self, "makespan", makespan)
+        _set(self, "flow_factor", flow_factor)
+        _set(self, "tardiness", tardiness)
+        _set(self, "utilization", utilization)
 
 
 def flow_factor(result: RunResult) -> float:

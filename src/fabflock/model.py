@@ -13,7 +13,6 @@ Queue positions are 1-based, position 1 being the head next to the machine.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -31,64 +30,126 @@ class MachineKind(Enum):
 Recipe = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MachineType:
-    """Static parameters shared by all machines of one workcenter."""
+_set = object.__setattr__
 
-    id: int
-    kind: MachineKind
-    raw_process_ticks: int
-    batch_size: int = 1
-    wt_ticks: int = 0
-    machine_count: int = 1
 
-    def __post_init__(self) -> None:
-        if self.raw_process_ticks < 1:
-            raise ConfigError(f"machine type {self.id}: raw_process_ticks must be >= 1")
-        if self.machine_count < 1:
-            raise ConfigError(f"machine type {self.id}: machine_count must be >= 1")
-        if self.kind is MachineKind.SINGLE_STEP:
-            if self.batch_size != 1:
-                raise ConfigError(f"machine type {self.id}: single-step machines have batch_size 1")
-            if self.wt_ticks != 0:
-                raise ConfigError(f"machine type {self.id}: single-step machines have no waiting timer")
+class Record:
+    """Base of the immutable value records: ``MachineType`` here, and
+    ``LotSpec``, ``Scenario``, ``LotRecord``, ``RunResult`` and
+    ``MetricsSummary``.
+
+    A record's fields are its ``__slots__``, in constructor order. Its
+    ``__init__`` sets each field once through ``object.__setattr__``; after
+    that, assigning or deleting an attribute raises AttributeError. Two
+    records are equal when they are of one class with equal fields, and a
+    record hashes its fields, so one holding a dict is unhashable. The
+    runtime classes below (``Lot``, ``Batch``, ``Machine``, ``MultiQueue``)
+    are plain slotted classes that compare by identity.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"{type(self).__name__} is read-only: cannot delete {name!r}")
+
+
+class MachineType(Record):
+    """Static parameters shared by all machines of one workcenter.
+
+    Raises ConfigError for a ``kind`` that is not a ``MachineKind``, for any
+    other field that is not an ``int`` (a ``bool`` is rejected too) and for
+    values the kind does not allow.
+    """
+
+    __slots__ = ("id", "kind", "raw_process_ticks", "batch_size", "wt_ticks", "machine_count")
+
+    def __init__(self, id: int, kind: MachineKind, raw_process_ticks: int,
+                 batch_size: int = 1, wt_ticks: int = 0, machine_count: int = 1):
+        for what, value in (("id", id), ("raw_process_ticks", raw_process_ticks),
+                            ("batch_size", batch_size), ("wt_ticks", wt_ticks),
+                            ("machine_count", machine_count)):
+            if type(value) is not int:
+                raise ConfigError(f"machine type {id!r}: {what} must be an int, got {value!r}")
+        if not isinstance(kind, MachineKind):
+            raise ConfigError(f"machine type {id}: kind must be a MachineKind, got {kind!r}")
+        if raw_process_ticks < 1:
+            raise ConfigError(f"machine type {id}: raw_process_ticks must be >= 1")
+        if machine_count < 1:
+            raise ConfigError(f"machine type {id}: machine_count must be >= 1")
+        if kind is MachineKind.SINGLE_STEP:
+            if batch_size != 1:
+                raise ConfigError(f"machine type {id}: single-step machines have batch_size 1")
+            if wt_ticks != 0:
+                raise ConfigError(f"machine type {id}: single-step machines have no waiting timer")
         else:
-            if self.batch_size < 2:
-                raise ConfigError(f"machine type {self.id}: batch machines need batch_size >= 2")
-            if self.wt_ticks < 0:
-                raise ConfigError(f"machine type {self.id}: wt_ticks must be >= 0")
+            if batch_size < 2:
+                raise ConfigError(f"machine type {id}: batch machines need batch_size >= 2")
+            if wt_ticks < 0:
+                raise ConfigError(f"machine type {id}: wt_ticks must be >= 0")
+        _set(self, "id", id)
+        _set(self, "kind", kind)
+        _set(self, "raw_process_ticks", raw_process_ticks)
+        _set(self, "batch_size", batch_size)
+        _set(self, "wt_ticks", wt_ticks)
+        _set(self, "machine_count", machine_count)
 
 
-@dataclass
 class Lot:
     """One unit of production, progressing step by step through its recipe."""
 
-    id: int
-    lot_type: int
-    step_cursor: int = 0
-    enqueue_time: int = 0
-    total_queue_ticks: int = 0
-    finish_time: int | None = None
+    __slots__ = ("id", "lot_type", "step_cursor", "enqueue_time", "total_queue_ticks",
+                 "finish_time")
+
+    def __init__(self, id: int, lot_type: int, step_cursor: int = 0):
+        self.id = id
+        self.lot_type = lot_type
+        self.step_cursor = step_cursor
+        self.enqueue_time = 0
+        self.total_queue_ticks = 0
+        self.finish_time: int | None = None
 
 
-@dataclass
 class Batch:
     """Lots of one type grouped to be processed together by a batch machine."""
 
-    lot_type: int
-    lots: list[Lot] = field(default_factory=list)
+    __slots__ = ("lot_type", "lots")
+
+    def __init__(self, lot_type: int, lots: list[Lot]):
+        self.lot_type = lot_type
+        self.lots = lots
 
 
-@dataclass
 class Machine:
     """Runtime state of one machine; static parameters live on ``mtype``."""
 
-    mtype: MachineType
-    index: int
-    busy_remaining: int = 0
-    wt_armed_at: int | None = None  # tick the waiting timer was armed; None: not armed
-    current_batch: list[Lot] = field(default_factory=list)
-    start_count: int = 0
+    __slots__ = ("mtype", "index", "busy_remaining", "wt_armed_at", "current_batch",
+                 "start_count")
+
+    def __init__(self, mtype: MachineType, index: int):
+        self.mtype = mtype
+        self.index = index
+        self.busy_remaining = 0
+        self.wt_armed_at: int | None = None  # tick the waiting timer was armed; None: not armed
+        self.current_batch: list[Lot] = []
+        self.start_count = 0
 
     @property
     def is_busy(self) -> bool:
@@ -160,7 +221,6 @@ class QueueIndex:
             owners.remove(i)
 
 
-@dataclass
 class MultiQueue:
     """Dedicated queue of one machine.
 
@@ -176,7 +236,9 @@ class MultiQueue:
     ``size`` is the number of queued lots of either kind. Lots enter only
     through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
     and ``remove_batch``, which keep ``size``, ``type_counts``, ``partial``
-    and the workcenter's ``index`` current; a queue is therefore built empty.
+    and the workcenter's ``index`` current; a queue is therefore built empty,
+    from its owner alone. Queues compare by identity, as lots, batches and
+    machines do.
 
     ``index`` is the ``QueueIndex`` of the owner's workcenter, the one piece
     of workcenter-wide state a queue holds. The workcenter's view sets it
@@ -186,13 +248,16 @@ class MultiQueue:
     ``is not None`` test skips that work otherwise.
     """
 
-    owner: Machine
-    lots: list[Lot] = field(default_factory=list, init=False)
-    batches: list[Batch] = field(default_factory=list, init=False)
-    size: int = field(default=0, init=False)
-    type_counts: dict[int, int] = field(default_factory=dict, init=False, repr=False)
-    partial: dict[int, Batch] = field(default_factory=dict, init=False, repr=False)
-    index: QueueIndex | None = field(default=None, init=False, repr=False, compare=False)
+    __slots__ = ("owner", "lots", "batches", "size", "type_counts", "partial", "index")
+
+    def __init__(self, owner: Machine):
+        self.owner = owner
+        self.lots: list[Lot] = []
+        self.batches: list[Batch] = []
+        self.size = 0
+        self.type_counts: dict[int, int] = {}
+        self.partial: dict[int, Batch] = {}
+        self.index: QueueIndex | None = None
 
     def total_len(self) -> int:
         return self.size

@@ -17,9 +17,8 @@ and ``Scenario.validate`` rejects a scenario built in code beyond one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .model import ConfigError, MachineKind, MachineType, Recipe
+from .model import ConfigError, MachineKind, MachineType, Recipe, Record, _set
 
 
 class ScenarioError(ConfigError):
@@ -43,21 +42,28 @@ MAX_LOTS = 100_000
 MAX_WORK_TICKS = 10_000_000
 
 
-@dataclass(frozen=True)
-class LotSpec:
+class LotSpec(Record):
     """Lot population of one type: how many lots and which recipe."""
 
-    id: int
-    count: int
-    recipe: Recipe
+    __slots__ = ("id", "count", "recipe")
+
+    def __init__(self, id: int, count: int, recipe: Recipe):
+        _set(self, "id", id)
+        _set(self, "count", count)
+        _set(self, "recipe", recipe)
 
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    tick_hours: float
-    machine_types: tuple[MachineType, ...]
-    lot_specs: tuple[LotSpec, ...]
+class Scenario(Record):
+    """A plant and its lot population; ``validate`` checks it."""
+
+    __slots__ = ("name", "tick_hours", "machine_types", "lot_specs")
+
+    def __init__(self, name: str, tick_hours: float, machine_types: tuple[MachineType, ...],
+                 lot_specs: tuple[LotSpec, ...]):
+        _set(self, "name", name)
+        _set(self, "tick_hours", tick_hours)
+        _set(self, "machine_types", machine_types)
+        _set(self, "lot_specs", lot_specs)
 
     def types_by_id(self) -> dict[int, MachineType]:
         return {mt.id: mt for mt in self.machine_types}
@@ -83,7 +89,18 @@ class Scenario:
 
     def validate(self) -> None:
         """Raise ScenarioError on an inconsistent scenario or one beyond a
-        ``MAX_*`` limit; the parser reports the same limits by line."""
+        ``MAX_*`` limit; the parser reports the same limits by line.
+
+        The name must be one ``serialize_scenario`` writes back unchanged:
+        a nonempty string without ``#``, whose words are separated by single
+        spaces. Lot type ids, counts and recipe steps must be ``int``s.
+        """
+        name = self.name
+        if not isinstance(name, str) or not name or "#" in name \
+                or name != " ".join(name.split()):
+            raise ScenarioError(
+                f"scenario name {name!r} must be nonempty, without '#', and its "
+                "words separated by single spaces")
         if self.tick_hours <= 0:
             raise ScenarioError("tick_hours must be positive")
         if not self.machine_types:
@@ -94,6 +111,8 @@ class Scenario:
         known = set(ids)
         seen = set()
         for ls in self.lot_specs:
+            if type(ls.id) is not int or type(ls.count) is not int:
+                raise ScenarioError(f"lot type {ls.id!r}: id and count must be ints")
             if ls.id in seen:
                 raise ScenarioError(f"duplicate lot type {ls.id}")
             seen.add(ls.id)
@@ -102,6 +121,8 @@ class Scenario:
             if not ls.recipe:
                 raise ScenarioError(f"lot type {ls.id}: recipe must not be empty")
             for step in ls.recipe:
+                if type(step) is not int:
+                    raise ScenarioError(f"lot type {ls.id}: recipe step {step!r} is not an int")
                 if step not in known:
                     raise ScenarioError(
                         f"lot type {ls.id}: recipe references unknown machine type {step}")

@@ -3,12 +3,23 @@
 from __future__ import annotations
 
 import itertools
+import json
 
 from fabflock.engine import Workcenter
+from fabflock.metrics import LotRecord, RunResult
 from fabflock.model import Batch, Lot, Machine, MachineKind, MachineType, MultiQueue
 from fabflock.scenario import LotSpec, Scenario
 
 _ids = itertools.count()
+
+
+def result_json(result: RunResult) -> str:
+    """Every field of the run result, each lot record as a field dict, as
+    sorted-key JSON: two equal strings mean two equal results."""
+    fields = {name: getattr(result, name) for name in RunResult.__slots__}
+    fields["lots"] = [{name: getattr(rec, name) for name in LotRecord.__slots__}
+                      for rec in result.lots]
+    return json.dumps(fields, sort_keys=True)
 
 
 def lot(lot_type: int) -> Lot:

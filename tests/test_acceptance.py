@@ -5,10 +5,8 @@ lines alongside the pytest report.
 """
 
 import csv
-import dataclasses
 import hashlib
 import itertools
-import json
 import random
 import time
 
@@ -24,6 +22,7 @@ from fabflock.model import Batch, Lot, MachineKind, MachineType, Machine, MultiQ
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
 
 from support import fill_queue, lot, make_batch_wc, make_single_wc, set_processing
+from support import result_json as _result_json
 
 RUNS = 50
 BASE_SEED = 1
@@ -220,10 +219,6 @@ def _checked_run(scenario, policy, seed, fifo_check):
     for done in state.finished:
         assert done.finish_time == done.total_queue_ticks + rpt[done.lot_type]
     return state
-
-
-def _result_json(result):
-    return json.dumps(dataclasses.asdict(result), sort_keys=True)
 
 
 def test_criterion_6_invariants_on_randomized_scenarios():

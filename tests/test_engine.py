@@ -1,6 +1,4 @@
-import dataclasses
 import gc
-import json
 import random
 from collections import Counter
 
@@ -19,11 +17,7 @@ from fabflock.flocking import FlockingPolicy
 from fabflock.model import MultiQueue
 from fabflock.scenario import ScenarioError, build_small_fab
 
-from support import batch_type, lots_spec, scenario_of, single_type
-
-
-def result_json(result):
-    return json.dumps(dataclasses.asdict(result), sort_keys=True)
+from support import batch_type, lots_spec, result_json, scenario_of, single_type
 
 
 def run(scenario, policy, seed, **kwargs):

@@ -126,6 +126,27 @@ class TestMachineTypeValidation:
         with pytest.raises(ConfigError):
             MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, machine_count=0)
 
+    def test_kind_must_be_a_machine_kind(self):
+        # The engine arms a waiting timer only for MachineKind.BATCH, while
+        # the queues treat every kind but SINGLE_STEP as batch.
+        with pytest.raises(ConfigError, match="kind"):
+            MachineType(0, "batch", 2, batch_size=2, wt_ticks=1)
+
+    @pytest.mark.parametrize("field, value", [
+        ("id", "0"),
+        ("raw_process_ticks", 2.5),  # a countdown from 2.5 never reaches 0
+        ("batch_size", 2.0),
+        ("wt_ticks", 1.0),
+        ("machine_count", True),
+    ])
+    def test_integer_field_must_be_an_int(self, field, value):
+        fields = dict(id=0, kind=MachineKind.BATCH, raw_process_ticks=2, batch_size=2,
+                      wt_ticks=1, machine_count=1)
+        MachineType(**fields)
+        fields[field] = value
+        with pytest.raises(ConfigError, match="must be an int"):
+            MachineType(**fields)
+
 
 class TestMultiQueueAddLot:
     def test_tops_up_partial_batch(self):

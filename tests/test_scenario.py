@@ -255,6 +255,39 @@ def _valid_scenarios(draw):
     return Scenario(name, tick_hours, tuple(machine_types), tuple(lot_specs))
 
 
+class TestValidateRejectsWhatTheFileCannotHold:
+    @pytest.mark.parametrize("name", [
+        "",  # written back as a bare "scenario" line, which does not parse
+        "a#b",  # parses back as "a"
+        "a  b",  # parses back as "a b"
+        " a",
+        "a\tb",
+        "x\nmachinetype 9 kind single count 1 rpt_hours 0.1",  # a sixth machine type
+        None,
+    ])
+    def test_name_rejected(self, name):
+        fab = build_small_fab()
+        sc = Scenario(name, fab.tick_hours, fab.machine_types, fab.lot_specs)
+        with pytest.raises(ScenarioError, match="scenario name"):
+            sc.validate()
+
+    def test_spaced_name_round_trips(self):
+        fab = build_small_fab()
+        sc = Scenario("small fab 2", fab.tick_hours, fab.machine_types, fab.lot_specs)
+        sc.validate()
+        assert parse_scenario(serialize_scenario(sc)) == sc
+
+    @pytest.mark.parametrize("spec", [
+        LotSpec(0, 2.0, (0,)),  # init_run builds range(count) lots
+        LotSpec("0", 2, (0,)),
+        LotSpec(0, 2, (0.0,)),
+    ])
+    def test_lot_spec_fields_must_be_ints(self, spec):
+        sc = Scenario("x", 0.1, (MachineType(0, MachineKind.SINGLE_STEP, 1),), (spec,))
+        with pytest.raises(ScenarioError, match="int"):
+            sc.validate()
+
+
 class TestParseProperties:
     @settings(max_examples=300, deadline=1000)
     @given(_texts)
