@@ -111,7 +111,7 @@ class BaselinePolicy:
     name = "baseline"
 
     def choose_queue(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
-        if view.kind is MachineKind.BATCH:
+        if view.mtype.kind is MachineKind.BATCH:
             return choose_batch(lot, view, rng)[0]
         return self.choose_single(lot, view, rng)
 

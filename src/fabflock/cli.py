@@ -118,7 +118,9 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
     replication order. Raises ValueError, before touching ``out_dir``, when
     no algorithm is given, a name repeats, ``runs`` lies outside
-    1..``MAX_RUNS``, or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is
+    1..``MAX_RUNS``, ``base_seed`` is negative (``random.Random`` seeds
+    with the absolute value, so seeds -1 and 1 would run the same
+    replication), or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is
     below 1.
     """
     if not algorithms:
@@ -127,6 +129,8 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
         raise ValueError(f"each algorithm may run once, got {algorithms}")
     if not 1 <= runs <= MAX_RUNS:
         raise ValueError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
+    if base_seed < 0:
+        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
     for name, value in (("flsq_len", flsq_len), ("hist_bin", hist_bin),
                         ("horizon_factor", horizon_factor)):
         if value < 1:
@@ -210,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--runs", type=int, default=50,
                         help=f"replications per algorithm, 1 to {MAX_RUNS} (default 50)")
     parser.add_argument("--seed", type=int, default=1,
-                        help="base seed; replication r uses seed+r (default 1)")
+                        help="base seed, >= 0; replication r uses seed+r (default 1)")
     parser.add_argument("--flsq-len", type=int, default=DEFAULT_FLSQ_LEN,
                         help="flocking reshuffle window length (default 5)")
     parser.add_argument("--hist-bin", type=int, default=10,
@@ -229,6 +233,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not 1 <= args.runs <= MAX_RUNS:
             raise UsageError(f"--runs must lie in 1..{MAX_RUNS}")
+        if args.seed < 0:
+            raise UsageError("--seed must be >= 0")
         if args.flsq_len < 1:
             raise UsageError("--flsq-len must be >= 1")
         if args.hist_bin < 1:

@@ -53,6 +53,7 @@ from .baseline import BaselinePolicy, shuffle
 from .flocking import first_same_type_distance
 from .metrics import LotRecord, RunResult
 from .model import (
+    Batch,
     Lot,
     Machine,
     MachineKind,
@@ -139,10 +140,9 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
             state.last_finish_tick = clock
             continue
         wc = workcenters[recipe[cursor]]
-        view = wc._view
-        target = policy.choose_queue(lot, view, rng)
+        target = policy.choose_queue(lot, wc._view, rng)
         queue = wc.queues[target]
-        if not queue.size and view.kind is MachineKind.BATCH:
+        if not queue.size and wc.mtype.kind is MachineKind.BATCH:
             wc.machines[target].wt_armed_at = clock
         queue.add_lot(lot)
         lot.enqueue_time = clock
@@ -279,24 +279,23 @@ def audit_state(state: SimState) -> None:
     """Raise AssertionError when a structural invariant is violated.
 
     Checks lot conservation (each lot sits in exactly one queue slot, one
-    machine, or the finished set), batch type purity, batch size bounds,
-    partial-batch uniqueness per type, and that every queue's counters match
-    its contents: ``size`` its queued lots and a batch queue's ``partial``
-    map exactly its partial batches. An idle batch machine has its waiting
-    timer armed, at a tick no later than the clock, exactly when its queue
-    is nonempty, and once a tick has run it holds no full batch. Every
-    workcenter's ``QueueIndex`` must equal a recount: each length bucket the
-    machines with that queue size in machine order, ``min_len`` the lowest
-    size, the partial owners the machines whose ``partial`` holds the type,
-    and no bucket or owner list empty. A workcenter tracking lot types must
-    have every single-step queue's per-type counts equal to its lots, the
-    holders of a lot type the machines counting it and no holder set empty;
-    an untracked one must hold no lot-type state at all (no holders, marks,
-    type counts or distance index). Where a workcenter view has built its
-    same-type distance index, checks it without changing it: every machine
-    not in ``index.changed`` holds the ``first_same_type_distance`` of each
-    lot type, and the per-type counts and sums equal those of the held
-    maps. Debugging aid; the engine never calls it on its own.
+    machine, or the finished set), batch type purity, batch size bounds, and
+    that every queue's ``size`` counts its queued lots. An idle batch
+    machine has its waiting timer armed, at a tick no later than the clock,
+    exactly when its queue is nonempty, and once a tick has run it holds no
+    full batch. Every workcenter's ``QueueIndex`` must equal one recount of
+    each table: each length bucket the machines with that queue size in
+    machine order, ``min_len`` the lowest size, and ``partials`` every
+    queue's partial batches, at most one per queue and type. A workcenter
+    tracking lot types must have ``type_counts`` equal the queued lots per
+    type and machine; an untracked one must hold no lot-type state at all
+    (no counts, marks or distance index). Equality with a recount rules out
+    empty buckets, empty inner tables and zero counts. Where a workcenter
+    view has built its same-type distance index, checks it without changing
+    it: every machine not in ``index.changed`` holds the
+    ``first_same_type_distance`` of each lot type, and the per-type counts
+    and sums equal those of the held maps. Debugging aid; the engine never
+    calls it on its own.
     """
     seen: list[int] = []
     for wc in state.workcenters.values():
@@ -317,19 +316,13 @@ def audit_state(state: SimState) -> None:
                 seen.extend(l.id for l in q.lots)
             else:
                 assert not q.lots, f"{m.label}: batch queue holds loose lots"
-                partials = [b for b in q.batches if len(b.lots) < bs]
                 if not m.is_busy:
                     assert (m.wt_armed_at is not None) == bool(q.size), \
                         f"{m.label}: idle, waiting timer armed iff queue nonempty"
                     assert m.wt_armed_at is None or m.wt_armed_at <= state.clock, \
                         f"{m.label}: waiting timer armed in the future"
-                    assert not state.clock or len(partials) == len(q.batches), \
+                    assert not state.clock or not q.full_batches(), \
                         f"{m.label}: idle with a full batch after phase 3"
-                assert len({b.lot_type for b in partials}) == len(partials), \
-                    f"{m.label}: two partial batches of one type"
-                assert len(q.partial) == len(partials) and all(
-                    q.partial.get(b.lot_type) is b for b in partials), \
-                    f"{m.label}: stale partial-batch map"
                 for b in q.batches:
                     assert 1 <= len(b.lots) <= bs, f"{m.label}: batch size out of bounds"
                     assert all(l.lot_type == b.lot_type for l in b.lots), \
@@ -345,33 +338,31 @@ def _audit_queue_index(wc: Workcenter) -> None:
     view = wc.view()
     index = view.index
     name = f"workcenter {wc.mtype.id}"
+    bs = wc.mtype.batch_size
     buckets: dict[int, list[int]] = {}
-    owners: dict[int, list[int]] = {}
-    for i, q in enumerate(wc.queues):
+    partials: dict[int, dict[int, Batch]] = {}
+    counts: dict[int, dict[int, int]] = {}
+    for m, q in zip(wc.machines, wc.queues):
+        i = m.index
         buckets.setdefault(q.size, []).append(i)
-        for t in q.partial:
-            owners.setdefault(t, []).append(i)
-    for kept in (index.buckets, index.partial_owners):
-        assert all(kept.values()), f"{name}: empty bucket or owner list"
+        for b in q.batches:
+            if len(b.lots) < bs:
+                owners = partials.setdefault(b.lot_type, {})
+                assert i not in owners, f"{m.label}: two partial batches of one type"
+                owners[i] = b
+        for lot in q.lots:
+            held = counts.setdefault(lot.lot_type, {})
+            held[i] = held.get(i, 0) + 1
     assert index.buckets == buckets, f"{name}: stale queue-length buckets"
     assert index.min_len == min(buckets), f"{name}: stale shortest queue length"
-    assert index.partial_owners == owners, f"{name}: stale partial-batch owners"
-    if index.holders is None:
-        assert index.changed is None and view.dist_window is None and \
-            not any(q.type_counts for q in wc.queues), \
+    assert index.partials == partials, f"{name}: stale partial-batch table"
+    if index.type_counts is None:
+        assert index.changed is None and view.dist_window is None, \
             f"{name}: lot-type state on an untracked workcenter"
         return
     assert index.changed is not None and index.changed <= set(range(len(wc.queues))), \
         f"{name}: tracked without a valid mark set"
-    holders: dict[int, set[int]] = {}
-    for m, q in zip(wc.machines, wc.queues):
-        assert {t: c for t, c in q.type_counts.items() if c} == \
-            Counter(l.lot_type for l in q.lots), f"{m.label}: stale type counts"
-        for t, c in q.type_counts.items():
-            if c:
-                holders.setdefault(t, set()).add(m.index)
-    assert all(index.holders.values()), f"{name}: empty holder set"
-    assert index.holders == holders, f"{name}: stale holder sets"
+    assert index.type_counts == counts, f"{name}: stale lot-type counts"
 
 
 def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> None:
@@ -384,11 +375,11 @@ def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> Non
         if i not in view.index.changed:
             fresh = {t: d for t in lot_types
                      if (d := first_same_type_distance(t, view, i, window)) is not None}
-            assert held == fresh, f"machine {i} of workcenter {view.type_id}: " \
+            assert held == fresh, f"machine {i} of workcenter {view.mtype.id}: " \
                 "stale same-type distances without a mark"
         counts.update(held.keys())
         sums.update(held)
     for t in set(counts) | set(view.dist_counts):
         assert (view.dist_counts.get(t, 0), view.dist_sums.get(t, 0)) == \
             (counts[t], sums[t]), \
-            f"workcenter {view.type_id}: stale distance count or sum of type {t}"
+            f"workcenter {view.mtype.id}: stale distance count or sum of type {t}"

@@ -26,11 +26,11 @@ type, the count and sum of those distances; it re-derives only the machines
 in ``index.changed``. ``index`` is the workcenter's ``model.QueueIndex``,
 the one object of workcenter-wide state every queue holds as
 ``queue.index`` and the view as ``view.index``. Separation reads the same
-object: its queue-length buckets and per-type holder sets, which the queue
-mutators keep current, so an arriving lot costs O(machines in the buckets
-walked), not O(machines). Only when every machine already queues the
-lot's type does it cost one pass over the machines' type counts, before the
-same walk. Holder sets and marks exist only once
+object: its queue-length buckets and its per-type table of how many lots
+each machine queues, which the queue mutators keep current, so an arriving
+lot costs O(machines in the buckets walked), not O(machines). Only when
+every machine already queues the lot's type does it also take the minimum
+over that type's counts. The type counts and marks exist only once
 ``WorkcenterView.track_lot_types`` has run at the workcenter;
 ``choose_single`` and ``distance_index`` call it on first use, so a
 baseline run never builds them.
@@ -41,8 +41,8 @@ processing type adds the machine's index to ``index.changed``. ``add_lot``
 and ``pop_head`` mark their queue's owner, the engine marks a machine when
 it releases its lot (a start always follows the ``pop_head`` that marked
 it), and ``reshuffle_flsq`` marks the machine whose window it reordered; a
-reorder inside ``queue.lots`` leaves the lengths and holders valid, so the
-window is all it changes. Code that sets ``current_batch`` or reorders
+reorder inside ``queue.lots`` leaves the lengths and type counts valid, so
+the window is all it changes. Code that sets ``current_batch`` or reorders
 ``queue.lots`` outside these paths, such as a test building a state by
 hand, must mark the machine itself while tracking is on;
 ``engine.audit_state`` fails on an unmarked machine whose entry is stale.
@@ -51,7 +51,6 @@ hand, must mark the machine itself while tracking is on;
 from __future__ import annotations
 
 import random
-from typing import Sequence
 
 # choose_batch and take_batch stay imported: bench/run.py traces them under these names.
 from .baseline import BaselinePolicy, choose_batch, pick_uniform, shuffle, take_batch  # noqa: F401
@@ -67,30 +66,26 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     One walk of the index's buckets, upward from the shortest length, meets
     the fewest-type machines shortest first and, within a length, in
     machine order; the first bucket holding any of them gives the ties.
-    While some machine queues none of the type, those machines, the ones
-    outside the type's holder set, are the fewest. Only when every machine
-    queues the type does the rule read every machine's count of it, one
-    ``type_counts`` pass, and walk for the machines at its minimum. The
-    first call at a workcenter starts its lot-type tracking.
+    ``held``, the type's entry in ``index.type_counts``, lists exactly the
+    machines queueing the type, so the fewest is 0 while some machine is
+    missing from it, and otherwise the least count in it. The first call at
+    a workcenter starts its lot-type tracking.
     """
     index = view.index
-    holders = index.holders
-    if holders is None:
-        holders = view.track_lot_types().holders
-    holders = holders.get(lot.lot_type, ())
-    counts = None
-    if len(holders) == len(view):
-        counts = view.type_counts(lot.lot_type)
-        least = min(counts)
+    counts = index.type_counts
+    if counts is None:
+        counts = view.track_lot_types().type_counts
+    held = counts.get(lot.lot_type, {})
+    least = 0 if len(held) < len(view) else min(held.values())
     buckets = index.buckets
     n = index.min_len
     while True:
         bucket = buckets.get(n)
         if bucket is not None:
-            if counts is None:
-                ties = [i for i in bucket if i not in holders]
+            if least:
+                ties = [i for i in bucket if held[i] == least]
             else:
-                ties = [i for i in bucket if counts[i] == least]
+                ties = [i for i in bucket if i not in held]
             if ties:
                 return pick_uniform(ties, rng)
         n += 1
@@ -125,13 +120,6 @@ def pull_from_totals(own_distance: int, count: int, total: int) -> int:
     if scaled < total:
         return 1
     return 0
-
-
-def compute_pull(own_distance: int, other_distances: Sequence[int]) -> int:
-    """Pull in {-1, 0, +1}: -1 when the lot sits farther out than the average
-    same-type distance at the other machines, +1 when closer, 0 on a tie or
-    when no other machine contributes."""
-    return pull_from_totals(own_distance, len(other_distances), sum(other_distances))
 
 
 def apply_pulls(lots: list[Lot], pulls: dict[int, int],

@@ -166,36 +166,39 @@ class Machine:
 
 
 class QueueIndex:
-    """Workcenter-wide state the queues of one workcenter keep current.
+    """Workcenter-wide state the queues of one workcenter keep current. Each
+    fact about the workcenter's queues that the dispatch rules read is kept
+    here once; the queues keep no copy of it.
 
     ``buckets`` maps each queue length some machine has to the indices of
     the machines with that length, ascending, and ``min_len`` is the lowest
-    such length. ``partial_owners`` maps each lot type with a partial batch
-    to the ascending indices of the batch machines holding one. A bucket or
-    owner list is deleted when its last machine leaves it, so none is ever
-    empty.
+    such length. ``partials`` maps each lot type with a partial batch to
+    ``{machine index: that batch}`` over the batch machines holding one; a
+    queue holds at most one partial batch per type, so every queued batch
+    not in the table is full. A bucket or inner table is deleted when its
+    last machine leaves it, so none is ever empty.
 
     The lot-type state is tracked only once a reader asks for it
-    (``WorkcenterView.track_lot_types``); until then ``holders`` and
-    ``changed`` are None and no queue counts its lot types. Once tracked,
-    ``holders`` maps each lot type queued at a single-step machine to the
-    set of machines queueing it, a set deleted with its last machine, and
-    ``changed`` holds the machines whose same-type distances
-    ``WorkcenterView.distance_index`` must re-derive; it starts with every
-    machine.
+    (``WorkcenterView.track_lot_types``); until then ``type_counts`` and
+    ``changed`` are None. Once tracked, ``type_counts`` maps each lot type
+    queued at a single-step machine to ``{machine index: queued lots of the
+    type}``, with no zero count and no empty inner table, so its keys are
+    the machines queueing the type. ``changed`` holds the machines whose
+    same-type distances ``WorkcenterView.distance_index`` must re-derive; it
+    starts with every machine.
 
     Built by the workcenter's view, held by every queue as ``queue.index``;
     it refers to neither, so a finished run is freed by reference counting
     alone.
     """
 
-    __slots__ = ("buckets", "min_len", "holders", "partial_owners", "changed")
+    __slots__ = ("buckets", "min_len", "type_counts", "partials", "changed")
 
     def __init__(self, n_machines: int):
         self.buckets: dict[int, list[int]] = {0: list(range(n_machines))}
         self.min_len = 0
-        self.holders: dict[int, set[int]] | None = None
-        self.partial_owners: dict[int, list[int]] = {}
+        self.type_counts: dict[int, dict[int, int]] | None = None
+        self.partials: dict[int, dict[int, Batch]] = {}
         self.changed: set[int] | None = None
 
     def move(self, i: int, old: int, new: int) -> None:
@@ -214,49 +217,43 @@ class QueueIndex:
             self.min_len = min(buckets)
 
     def drop_partial(self, lot_type: int, i: int) -> None:
-        owners = self.partial_owners[lot_type]
+        owners = self.partials[lot_type]
         if len(owners) == 1:
-            del self.partial_owners[lot_type]
+            del self.partials[lot_type]
         else:
-            owners.remove(i)
+            del owners[i]
 
 
 class MultiQueue:
     """Dedicated queue of one machine.
 
-    Single-step owners keep an ordered lot list (index 0 = head) and, while
-    the workcenter tracks lot types, in ``type_counts`` how many queued lots
-    each lot type has (empty otherwise); ``add_lot`` and ``pop_head`` keep it
-    current, reorders inside ``lots`` leave it valid, and a type whose lots
-    all left keeps a zero entry. Batch owners keep a list of batches; at
-    most one partial batch exists per lot type, so an arriving lot either
-    tops up its type's partial batch or opens a new one. ``partial`` maps
-    each lot type to that partial batch, so every batch not in it is full.
+    Single-step owners keep an ordered lot list (index 0 = head). Batch
+    owners keep a list of batches; at most one partial batch exists per lot
+    type, so an arriving lot either tops up its type's partial batch, the
+    one ``index.partials`` names for this queue, or opens a new one.
 
     ``size`` is the number of queued lots of either kind. Lots enter only
     through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
-    and ``remove_batch``, which keep ``size``, ``type_counts``, ``partial``
-    and the workcenter's ``index`` current; a queue is therefore built empty,
-    from its owner alone. Queues compare by identity, as lots, batches and
-    machines do.
+    and ``remove_batch``, which keep ``size`` and the workcenter's ``index``
+    current, and reorders inside ``lots`` leave both valid; a queue is
+    therefore built empty, from its owner alone. Queues compare by identity,
+    as lots, batches and machines do.
 
     ``index`` is the ``QueueIndex`` of the owner's workcenter, the one piece
     of workcenter-wide state a queue holds. The workcenter's view sets it
     when it adopts the queue, and a queue takes lots only after that. While
     the index tracks lot types, both single-step mutators also keep
-    ``index.holders`` and mark the owner in ``index.changed``; one
+    ``index.type_counts`` and mark the owner in ``index.changed``; one
     ``is not None`` test skips that work otherwise.
     """
 
-    __slots__ = ("owner", "lots", "batches", "size", "type_counts", "partial", "index")
+    __slots__ = ("owner", "lots", "batches", "size", "index")
 
     def __init__(self, owner: Machine):
         self.owner = owner
         self.lots: list[Lot] = []
         self.batches: list[Batch] = []
         self.size = 0
-        self.type_counts: dict[int, int] = {}
-        self.partial: dict[int, Batch] = {}
         self.index: QueueIndex | None = None
 
     def total_len(self) -> int:
@@ -286,25 +283,20 @@ class MultiQueue:
         t = lot.lot_type
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
-            holders = x.holders
-            if holders is not None:
-                counts = self.type_counts
-                c = counts.get(t, 0)
-                counts[t] = c + 1
-                if not c:
-                    holders.setdefault(t, set()).add(i)
+            counts = x.type_counts
+            if counts is not None:
+                held = counts.setdefault(t, {})
+                held[i] = held.get(i, 0) + 1
                 x.changed.add(i)
             return
-        batch = self.partial.get(t)
+        owners = x.partials.setdefault(t, {})
+        batch = owners.get(i)
         if batch is None:
-            batch = Batch(t, [lot])
+            batch = owners[i] = Batch(t, [lot])
             self.batches.append(batch)
-            self.partial[t] = batch
-            insort(x.partial_owners.setdefault(t, []), i)
         else:
             batch.lots.append(lot)
             if len(batch.lots) == self.owner.mtype.batch_size:
-                del self.partial[t]
                 x.drop_partial(t, i)
 
     def add_batch(self, batch: Batch) -> None:
@@ -317,10 +309,10 @@ class MultiQueue:
             raise ValueError(f"a batch holds 1 to {bs} lots, got {len(batch.lots)}")
         i = self.owner.index
         if len(batch.lots) < bs:
-            if batch.lot_type in self.partial:
+            owners = self.index.partials.setdefault(batch.lot_type, {})
+            if i in owners:
                 raise ValueError(f"lot type {batch.lot_type} already has a partial batch")
-            self.partial[batch.lot_type] = batch
-            insort(self.index.partial_owners.setdefault(batch.lot_type, []), i)
+            owners[i] = batch
         self.batches.append(batch)
         n = self.size
         self.size = n + len(batch.lots)
@@ -332,18 +324,17 @@ class MultiQueue:
         self.size = n - 1
         x = self.index
         i = self.owner.index
-        holders = x.holders
-        if holders is not None:
+        counts = x.type_counts
+        if counts is not None:
             t = lot.lot_type
-            counts = self.type_counts
-            c = counts[t] - 1
-            counts[t] = c
-            if not c:
-                held = holders[t]
-                if len(held) == 1:
-                    del holders[t]
-                else:
-                    held.remove(i)
+            held = counts[t]
+            c = held[i]
+            if c > 1:
+                held[i] = c - 1
+            elif len(held) > 1:
+                del held[i]
+            else:
+                del counts[t]
             x.changed.add(i)
         buckets = x.buckets  # QueueIndex.move(i, n, n - 1), inlined
         bucket = buckets[n]
@@ -364,13 +355,13 @@ class MultiQueue:
         for k, b in enumerate(self.batches):
             if b is batch:
                 del self.batches[k]
+                x = self.index
                 i = self.owner.index
                 n = self.size
                 self.size = n - len(batch.lots)
-                self.index.move(i, n, self.size)
-                if self.partial.get(batch.lot_type) is batch:
-                    del self.partial[batch.lot_type]
-                    self.index.drop_partial(batch.lot_type, i)
+                x.move(i, n, self.size)
+                if x.partials.get(batch.lot_type, {}).get(i) is batch:
+                    x.drop_partial(batch.lot_type, i)
                 return
         raise ValueError("batch not in this queue")
 
@@ -379,7 +370,8 @@ class MultiQueue:
         return [b for b in self.batches if len(b.lots) == bs]
 
     def has_full_batch(self) -> bool:
-        return len(self.batches) > len(self.partial)
+        bs = self.owner.mtype.batch_size
+        return any(len(b.lots) == bs for b in self.batches)
 
 
 class WorkcenterView:
@@ -387,22 +379,22 @@ class WorkcenterView:
 
     Policies use it to inspect queue lengths, queued lot types, partial
     batches, and what each machine is processing. Each workcenter builds one
-    view and hands it to every decision; every read goes to the current
-    machines and queues, so a value read before a queue changes is stale
-    afterwards. Callers must not mutate anything reached through it.
+    view over its ``mtype`` and hands it to every decision; every read goes
+    to the current machines and queues, so a value read before a queue
+    changes is stale afterwards. Callers must not mutate anything reached
+    through it.
 
     ``index`` is the workcenter's ``QueueIndex``, which the view builds and
     every queue it adopts keeps current. It answers the dispatch rules'
     questions without visiting the machines: the shortest queues are
-    ``index.buckets[index.min_len]``, the machines queueing a lot type are
-    ``index.holders``, and ``partial_batches`` reads only the machines in
-    ``index.partial_owners``. The one per-machine list, ``type_counts``,
-    comes from counters the queues keep, one lookup per machine; queue
-    lengths are read per machine (``queue_len``) or from the buckets.
+    ``index.buckets[index.min_len]``, the machines queueing a lot type and
+    how many lots of it each queues are ``index.type_counts``, and the
+    partial batches of a type are ``index.partials``. Queue lengths are read
+    per machine (``queue_len``) or from the buckets.
 
-    ``track_lot_types`` builds the lot-type state (``index.holders``,
-    ``index.changed``, the queues' ``type_counts``) on its first call;
-    ``type_count``, ``type_counts`` and ``distance_index`` call it first.
+    ``track_lot_types`` builds the lot-type state (``index.type_counts`` and
+    ``index.changed``) on its first call; ``type_count``, ``type_counts``
+    and ``distance_index`` call it first.
 
     The view also keeps the same-type distance index of one window length
     that ``distance_index`` returns. ``index.changed`` holds the indices of
@@ -411,13 +403,11 @@ class WorkcenterView:
     who adds to it.
     """
 
-    __slots__ = ("type_id", "kind", "batch_size", "_machines", "_queues", "index",
+    __slots__ = ("mtype", "_machines", "_queues", "index",
                  "dist_window", "dist_maps", "dist_counts", "dist_sums")
 
     def __init__(self, mtype: MachineType, machines: list[Machine], queues: list[MultiQueue]):
-        self.type_id = mtype.id
-        self.kind = mtype.kind
-        self.batch_size = mtype.batch_size
+        self.mtype = mtype
         self._machines = machines
         self._queues = queues
         self.index = QueueIndex(len(machines))
@@ -442,32 +432,29 @@ class WorkcenterView:
     def track_lot_types(self) -> QueueIndex:
         """Start tracking lot types, if not yet on, and return the index.
 
-        The first call recounts every single-step queue's lots into its
-        ``type_counts`` and ``index.holders`` and marks every machine in
-        ``index.changed``; from then on the queue mutators keep them.
+        The first call counts every single-step queue's lots into
+        ``index.type_counts`` and marks every machine in ``index.changed``;
+        from then on the queue mutators keep them.
         """
         index = self.index
-        if index.holders is None:
-            holders: dict[int, set[int]] = {}
+        if index.type_counts is None:
+            counts: dict[int, dict[int, int]] = {}
             for i, q in enumerate(self._queues):
-                counts = q.type_counts
                 for lot in q.lots:
-                    t = lot.lot_type
-                    counts[t] = counts.get(t, 0) + 1
-                    holders.setdefault(t, set()).add(i)
-            index.holders = holders
+                    held = counts.setdefault(lot.lot_type, {})
+                    held[i] = held.get(i, 0) + 1
+            index.type_counts = counts
             index.changed = set(range(len(self._queues)))
         return index
 
     def type_count(self, i: int, lot_type: int) -> int:
         """Queued lots of ``lot_type`` at machine ``i`` (single-step queues)."""
-        self.track_lot_types()
-        return self._queues[i].type_counts.get(lot_type, 0)
+        return self.track_lot_types().type_counts.get(lot_type, {}).get(i, 0)
 
     def type_counts(self, lot_type: int) -> list[int]:
         """``type_count`` of every machine, in machine order."""
-        self.track_lot_types()
-        return [q.type_counts.get(lot_type, 0) for q in self._queues]
+        held = self.track_lot_types().type_counts.get(lot_type, {})
+        return [held.get(i, 0) for i in range(len(self._queues))]
 
     def processing_type(self, i: int) -> int | None:
         return self._machines[i].processing_type
@@ -518,9 +505,8 @@ class WorkcenterView:
     def partial_batches(self, lot_type: int) -> list[tuple[int, Batch]]:
         """(machine index, batch) for every partial batch of ``lot_type``, in
         machine order; a queue holds at most one per type."""
-        queues = self._queues
-        return [(i, queues[i].partial[lot_type])
-                for i in self.index.partial_owners.get(lot_type, ())]
+        owners = self.index.partials.get(lot_type)
+        return sorted(owners.items()) if owners else []
 
 
 def machine_distances(machine: Machine, queue: MultiQueue, window_len: int) -> dict[int, int]:

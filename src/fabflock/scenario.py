@@ -17,6 +17,7 @@ and ``Scenario.validate`` rejects a scenario built in code beyond one.
 from __future__ import annotations
 
 import math
+import sys
 
 from .model import ConfigError, MachineKind, MachineType, Recipe, Record, _set
 
@@ -43,18 +44,22 @@ MAX_WORK_TICKS = 10_000_000
 
 
 class LotSpec(Record):
-    """Lot population of one type: how many lots and which recipe."""
+    """Lot population of one type: how many lots and which recipe. The
+    recipe is stored as a tuple, so a spec built from a list still hashes
+    and equals its parsed round trip."""
 
     __slots__ = ("id", "count", "recipe")
 
     def __init__(self, id: int, count: int, recipe: Recipe):
         _set(self, "id", id)
         _set(self, "count", count)
-        _set(self, "recipe", recipe)
+        _set(self, "recipe", tuple(recipe))
 
 
 class Scenario(Record):
-    """A plant and its lot population; ``validate`` checks it."""
+    """A plant and its lot population; ``validate`` checks it. The machine
+    types and lot specs are stored as tuples, as ``LotSpec`` stores its
+    recipe."""
 
     __slots__ = ("name", "tick_hours", "machine_types", "lot_specs")
 
@@ -62,8 +67,8 @@ class Scenario(Record):
                  lot_specs: tuple[LotSpec, ...]):
         _set(self, "name", name)
         _set(self, "tick_hours", tick_hours)
-        _set(self, "machine_types", machine_types)
-        _set(self, "lot_specs", lot_specs)
+        _set(self, "machine_types", tuple(machine_types))
+        _set(self, "lot_specs", tuple(lot_specs))
 
     def types_by_id(self) -> dict[int, MachineType]:
         return {mt.id: mt for mt in self.machine_types}
@@ -93,7 +98,9 @@ class Scenario(Record):
 
         The name must be one ``serialize_scenario`` writes back unchanged:
         a nonempty string without ``#``, whose words are separated by single
-        spaces. Lot type ids, counts and recipe steps must be ``int``s.
+        spaces. ``tick_hours`` must be a positive, finite ``int`` or
+        ``float`` (a ``bool`` is rejected). Lot type ids, counts and recipe
+        steps must be ``int``s.
         """
         name = self.name
         if not isinstance(name, str) or not name or "#" in name \
@@ -101,8 +108,9 @@ class Scenario(Record):
             raise ScenarioError(
                 f"scenario name {name!r} must be nonempty, without '#', and its "
                 "words separated by single spaces")
-        if self.tick_hours <= 0:
-            raise ScenarioError("tick_hours must be positive")
+        tick_hours = self.tick_hours
+        if type(tick_hours) not in (int, float) or not 0 < tick_hours <= sys.float_info.max:
+            raise ScenarioError(f"tick_hours must be a positive finite number, got {tick_hours!r}")
         if not self.machine_types:
             raise ScenarioError("at least one machine type is required")
         ids = [mt.id for mt in self.machine_types]

@@ -16,7 +16,7 @@ from scipy import stats
 from fabflock import baseline, cli
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import audit_state, init_run, run_to_completion, tick
-from fabflock.flocking import FlockingPolicy, compute_pull, first_same_type_distance
+from fabflock.flocking import FlockingPolicy, first_same_type_distance, pull_from_totals
 from fabflock.metrics import summarize
 from fabflock.model import Batch, Lot, MachineKind, MachineType, Machine, MultiQueue
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
@@ -105,8 +105,8 @@ def test_criterion_4_worked_reshuffle_example():
                         if (d := first_same_type_distance(ORANGE, view, i, 5)) is not None]
     blue_distances = [d for i in (1, 2, 3)
                       if (d := first_same_type_distance(BLUE, view, i, 5)) is not None]
-    orange_pull = compute_pull(1, orange_distances)
-    blue_pull = compute_pull(2, blue_distances)
+    orange_pull = pull_from_totals(1, len(orange_distances), sum(orange_distances))
+    blue_pull = pull_from_totals(2, len(blue_distances), sum(blue_distances))
     ok = (sorted(orange_distances) == [2, 2] and orange_pull == 1
           and sorted(blue_distances) == [0, 0, 1] and blue_pull == -1)
     report(4, ok, f"orange: d=1 vs {orange_distances} -> {orange_pull:+d}; "

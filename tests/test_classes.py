@@ -22,6 +22,8 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def test_import_loads_neither_dataclasses_nor_inspect():
+    # Every module the import adds is the package's own or the standard
+    # library's: the package stays standard-library only.
     code = ("import sys\n"
             f"sys.path.insert(0, {str(SRC)!r})\n"
             "before = set(sys.modules)\n"
@@ -32,6 +34,9 @@ def test_import_loads_neither_dataclasses_nor_inspect():
     added = set(done.stdout.split())
     assert "fabflock.engine" in added
     assert not added & {"dataclasses", "inspect"}
+    outside = {name for name in added if not name.startswith("fabflock")
+               and name.split(".")[0] not in sys.stdlib_module_names}
+    assert not outside
 
 
 def _runtime_objects():

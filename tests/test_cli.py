@@ -149,6 +149,23 @@ class TestExitCodes:
                                runs=runs, base_seed=1, out_dir=out)
         assert not out.exists()
 
+    def test_negative_seed_rejected_before_output(self, tiny_path, tmp_path):
+        # random.Random(-s) equals Random(s): seeds -1 and 1 would be one run.
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match="base_seed must be >= 0"):
+            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline"],
+                               runs=3, base_seed=-1, out_dir=out)
+        assert not out.exists()
+
+    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = cli.main(["--runs", "3", "--seed", "-1", "--algorithm", "baseline",
+                         "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "--seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("setting, value, algorithm", [
         ("hist_bin", 0, "baseline"),          # used to write runs.csv first
         ("flsq_len", 0, "flocking"),          # used to create the directory first

@@ -233,14 +233,13 @@ class TestPerLotWork:
         assert calls == Counter()
 
     def test_baseline_run_never_tracks_lot_types(self):
-        # Holder sets, per-queue type counts and FLSQ marks serve only
-        # flocking; a baseline run must never build them.
+        # The index's lot-type counts and FLSQ marks serve only flocking;
+        # a baseline run must never build them.
         state = init_run(build_small_fab(), BaselinePolicy(), seed=1)
         run_to_completion(state)
         for wc in state.workcenters.values():
             index = wc.view().index
-            assert index.holders is None and index.changed is None
-            assert all(q.type_counts == {} for q in wc.queues)
+            assert index.type_counts is None and index.changed is None
         audit_state(state)
 
 
@@ -259,7 +258,7 @@ class TestFinishedRunMemory:
                 index = wc.view().track_lot_types()
                 assert index.buckets == {0: list(range(len(wc.machines)))}
                 assert index.min_len == 0
-                assert index.holders == {} and index.partial_owners == {}
+                assert index.type_counts == {} and index.partials == {}
             del state
             assert gc.collect() == 0
         finally:

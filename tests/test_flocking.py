@@ -7,7 +7,6 @@ from fabflock import baseline, flocking, model
 from fabflock.flocking import (
     FlockingPolicy,
     apply_pulls,
-    compute_pull,
     first_same_type_distance,
     pull_from_totals,
     reshuffle_flsq,
@@ -193,6 +192,14 @@ def same_type_distances(view, own_index, window_len):
                 seen.add(t)
                 distances.setdefault(t, []).append(pos)
     return distances
+
+
+def compute_pull(own_distance, other_distances):
+    """Pull in {-1, 0, +1}: -1 when the lot sits farther out than the average
+    same-type distance at the other machines, +1 when closer, 0 on a tie or
+    when no other machine contributes. The list form of ``pull_from_totals``
+    that ``reference_reshuffle`` reads."""
+    return pull_from_totals(own_distance, len(other_distances), sum(other_distances))
 
 
 def reference_reshuffle(queue, view, own_index, rng, window_len):

@@ -307,8 +307,7 @@ class TestQueueCountersMatchRecount:
                 assert q.total_len() == reference_total_len(q)
                 assert q.is_empty() == (reference_total_len(q) == 0)
                 assert q.has_full_batch() == reference_has_full_batch(q)
-                assert dict(Counter(l.lot_type for l in q.lots)) == \
-                    {t: c for t, c in q.type_counts.items() if c}
+            assert view.index.type_counts == recount_type_counts(wc)
             assert [q.size for q in wc.queues] == [reference_total_len(q) for q in wc.queues]
             item = lot(arriving)
             for rule, reference in ((baseline.choose_single, reference_shortest_queue),
@@ -357,12 +356,14 @@ _single_ops = st.lists(st.tuples(st.booleans(),                 # add, else pop
                        max_size=40)
 
 
-def recount_holders(wc):
-    holders = {}
+def recount_type_counts(wc):
+    """Lot type -> {machine index: queued lots of the type}, no zeros."""
+    counts = {}
     for i, q in enumerate(wc.queues):
         for item in q.lots:
-            holders.setdefault(item.lot_type, set()).add(i)
-    return holders
+            held = counts.setdefault(item.lot_type, {})
+            held[i] = held.get(i, 0) + 1
+    return counts
 
 
 class TestLotTypeTracking:
@@ -385,17 +386,13 @@ class TestLotTypeTracking:
             return touched
 
         def assert_counts_equal_a_recount():
-            assert index.holders == recount_holders(wc)
-            for q in wc.queues:
-                assert {t: c for t, c in q.type_counts.items() if c} == \
-                    dict(Counter(l.lot_type for l in q.lots))
+            assert index.type_counts == recount_type_counts(wc)
             assert view.type_counts(arriving) == \
                 [sum(l.lot_type == arriving for l in q.lots) for q in wc.queues]
 
         apply(before)
         index = view.index
-        assert index.holders is None and index.changed is None
-        assert all(q.type_counts == {} for q in wc.queues)
+        assert index.type_counts is None and index.changed is None
         # Separation starts tracking on first use and still equals the scan.
         live, scanned = random.Random(seed), random.Random(seed)
         item = lot(arriving)
@@ -413,10 +410,11 @@ class TestLotTypeTracking:
 
 class TestDispatchReads:
     def test_no_per_machine_list_outside_the_separation_fallback(self, monkeypatch):
-        # Both rules read the queue index; only flocking's fallback, when
-        # every machine already queues the lot's type, lists every machine.
+        # Both rules read the queue index, and so does flocking's fallback,
+        # when every machine already queues the lot's type: no rule lists
+        # every machine.
         calls = Counter()
-        for name in ("type_counts",):
+        for name in ("type_count", "type_counts"):
             real = getattr(WorkcenterView, name)
 
             def counted(self, *args, _name=name, _real=real):
@@ -436,9 +434,9 @@ class TestDispatchReads:
         assert calls == Counter()
 
         for i in range(n):
-            if not wc.queues[i].type_counts.get(0):
+            if i not in view.index.type_counts[0]:
                 fill_queue(wc, i, [0])
+        assert len(view.index.type_counts[0]) == n  # the fallback's case
         baseline.choose_single(lot(0), view, rng)
-        assert calls == Counter()
         flocking.choose_single(lot(0), view, rng)
-        assert calls == Counter(type_counts=1)
+        assert calls == Counter()

@@ -287,6 +287,23 @@ class TestValidateRejectsWhatTheFileCannotHold:
         with pytest.raises(ScenarioError, match="int"):
             sc.validate()
 
+    @pytest.mark.parametrize("tick_hours", [float("nan"), float("inf"), True])
+    def test_tick_hours_must_be_a_finite_number(self, tick_hours):
+        fab = build_small_fab()
+        sc = Scenario(fab.name, tick_hours, fab.machine_types, fab.lot_specs)
+        with pytest.raises(ScenarioError, match="tick_hours"):
+            sc.validate()
+
+
+class TestRecordsStoreTuples:
+    def test_lists_are_stored_as_tuples(self):
+        fab = build_small_fab()
+        sc = Scenario(fab.name, fab.tick_hours, list(fab.machine_types),
+                      [LotSpec(ls.id, ls.count, list(ls.recipe)) for ls in fab.lot_specs])
+        sc.validate()
+        assert sc == fab and hash(sc) == hash(fab)
+        assert parse_scenario(serialize_scenario(sc)) == sc
+
 
 class TestParseProperties:
     @settings(max_examples=300, deadline=1000)
