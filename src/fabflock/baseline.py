@@ -1,25 +1,19 @@
 """Engineered comparison policy.
 
 Single-step workcenters: join the machine with the shortest queue, serve the
-queue strictly FIFO. Batch workcenters: top up the partial batch missing the
-fewest lots anywhere in the workcenter (new batch at the shortest overall
-queue when the type has no partial batch); a machine starts a full batch as
-soon as one waits, and only falls back to its fullest partial batch once the
-waiting timer has expired. All ties break uniformly at random.
+queue strictly FIFO. Batch workcenters, under every policy: top up the
+partial batch missing the fewest lots anywhere in the workcenter (new batch
+at the shortest overall queue when the type has no partial batch); a machine
+starts a full batch as soon as one waits, and only falls back to its fullest
+partial batch once the waiting timer has expired. All ties break uniformly
+at random.
 """
 
 from __future__ import annotations
 
 import random
 
-from .model import (
-    Batch,
-    Lot,
-    Machine,
-    MachineKind,
-    MultiQueue,
-    WorkcenterView,
-)
+from .model import Batch, Lot, Machine, MultiQueue, WorkcenterView
 
 
 # The two draw primitives take the same bits of ``rng.getrandbits``, in the
@@ -78,8 +72,11 @@ def choose_batch(lot: Lot, view: WorkcenterView, rng: random.Random) -> tuple[in
 
 def take_batch(machine: Machine, queue: MultiQueue,
                rng: random.Random, wt_expired: bool) -> Batch | None:
-    """Full batch first (uniform among several); after timer expiry the
-    fullest partial batch (ties uniform); otherwise keep waiting."""
+    """Batch from ``queue.batches`` to start, or None to keep waiting: a full
+    batch first (uniform among several); after timer expiry the fullest
+    partial batch (ties uniform). It returns a batch whenever a full batch
+    waits, so an idle batch machine never keeps one past phase 3, which the
+    engine's waiting timers rely on to run on without pausing."""
     fulls = queue.full_batches()
     if fulls:
         return pick_uniform(fulls, rng)
@@ -90,30 +87,22 @@ def take_batch(machine: Machine, queue: MultiQueue,
 
 
 class BaselinePolicy:
-    """Shortest-queue FIFO plus fill-least-missing-batch-first, and the root
-    of every policy. The engine calls three hooks:
+    """Shortest-queue FIFO at single-step workcenters, and the root of every
+    policy. The engine calls two hooks, both at single-step workcenters
+    only:
 
-    - ``choose_queue(lot, view, rng)``: index of the machine whose queue an
+    - ``choose_single(lot, view, rng)``: index of the machine whose queue an
       arriving lot joins;
     - ``take_single(machine, queue, view, rng)``: runs just before an idle
       single-step machine loads the head of its nonempty queue, and may only
-      reorder that queue in place;
-    - ``take_batch(machine, queue, rng, wt_expired)``: batch from
-      ``queue.batches`` to start, or None to keep waiting. It must return a
-      batch whenever a full batch waits: the engine's waiting timers run
-      on without pausing, which holds only because an idle batch machine
-      never keeps a full batch past phase 3.
+      reorder that queue in place.
 
-    Subclasses change single-step decisions through ``choose_single`` and
-    ``take_single``; batch decisions stay the baseline rules.
+    Subclasses override these two. Batch workcenters run this module's
+    ``choose_batch`` and ``take_batch`` under every policy; the engine calls
+    them itself.
     """
 
     name = "baseline"
-
-    def choose_queue(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
-        if view.mtype.kind is MachineKind.BATCH:
-            return choose_batch(lot, view, rng)[0]
-        return self.choose_single(lot, view, rng)
 
     def choose_single(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
         return choose_single(lot, view, rng)
@@ -121,7 +110,3 @@ class BaselinePolicy:
     def take_single(self, machine: Machine, queue: MultiQueue,
                     view: WorkcenterView, rng: random.Random) -> None:
         """FIFO: the head stays where it is."""
-
-    def take_batch(self, machine: Machine, queue: MultiQueue,
-                   rng: random.Random, wt_expired: bool) -> Batch | None:
-        return take_batch(machine, queue, rng, wt_expired)

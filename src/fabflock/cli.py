@@ -39,8 +39,8 @@ MAX_RUNS = 10_000
 METRIC_KEYS = ("makespan_ticks", "flow_factor", "tardiness_ticks", "utilization")
 
 
-class UsageError(Exception):
-    pass
+class UsageError(ValueError):
+    """Invalid command line or ``run_experiment`` argument."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,11 +117,11 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     When ``table`` is given, the comparison table is also printed to it once
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
     replication order. Raises ValueError, before touching ``out_dir``, when
-    no algorithm is given, a name repeats, ``runs`` lies outside
-    1..``MAX_RUNS``, ``base_seed`` is negative (``random.Random`` seeds
-    with the absolute value, so seeds -1 and 1 would run the same
-    replication), or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is
-    below 1.
+    no algorithm is given, a name repeats or is unknown (a ``UsageError``),
+    ``runs`` lies outside 1..``MAX_RUNS``, ``base_seed`` is negative
+    (``random.Random`` seeds with the absolute value, so seeds -1 and 1
+    would run the same replication), or ``flsq_len``, ``hist_bin`` or
+    ``horizon_factor`` is below 1.
     """
     if not algorithms:
         raise ValueError("at least one algorithm must run")
@@ -135,12 +135,12 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
                         ("horizon_factor", horizon_factor)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    policies = {name: make_policy(name, flsq_len) for name in algorithms}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     results: dict[str, list[RunResult]] = {}
-    for name in algorithms:
-        policy = make_policy(name, flsq_len)
+    for name, policy in policies.items():
         results[name] = [
             run_to_completion(init_run(scenario, policy, base_seed + r),
                               horizon_factor=horizon_factor)

@@ -5,17 +5,20 @@ Every tick executes five phases in this fixed order:
 1. Busy machines count down; a machine reaching zero releases every lot of
    its current batch, whose recipe cursors advance, and becomes idle.
 2. Released lots, visited in a seeded random order: finished lots record
-   the current tick; the rest pick a queue at their next workcenter through
-   the active policy and are enqueued at this tick.
+   the current tick; the rest join a queue at their next workcenter and are
+   enqueued at this tick. At a single-step workcenter the policy's
+   ``choose_single`` picks the queue; at a batch workcenter
+   ``baseline.choose_batch`` does, under every policy.
 3. Idle machines, visited in a seeded random order, try to start: a
-   single-step machine lets the policy reorder its queue in place and then
-   loads the queue head; a batch machine asks the policy for a batch
-   (passing whether its waiting timer has expired). Starting credits each
-   loaded lot's queue wait.
+   single-step machine lets the policy's ``take_single`` reorder its queue
+   in place and then loads the queue head; a batch machine starts the batch
+   ``baseline.take_batch`` picks (passing whether its waiting timer has
+   expired), if any. Starting credits each loaded lot's queue wait.
 4. Waiting timers of idle batch machines with queued lots run on. This
    needs no per-tick work: a timer is the tick it was armed at, and an idle
-   batch machine never holds a full batch after phase 3, since a policy
-   returns a batch whenever a full batch waits, so no timer ever pauses.
+   batch machine never holds a full batch after phase 3, since
+   ``baseline.take_batch`` returns a batch whenever a full batch waits, so
+   no timer ever pauses.
 5. The clock advances by one. A machine's busy time is derived: each start
    keeps it busy for exactly ``raw_process_ticks`` ticks, and every machine
    is idle once every lot finished.
@@ -35,11 +38,15 @@ one per-run ``random.Random``, making a run a pure function of
 (scenario, policy, seed). Every draw goes through ``baseline.shuffle`` and
 ``baseline.pick_uniform``, which use only its ``getrandbits``.
 
-Per lot, phases 2 and 3 call only the policy hooks (``choose_queue``, then
-``take_single`` or ``take_batch``) and the queue mutators (``add_lot``, then
-``pop_head`` or ``remove_batch``); the engine reads ``state.recipes`` and
-each workcenter's view directly. The initial dispatch of ``init_run`` runs
-the same loop as phase 2. ``next_step`` and ``Workcenter.view`` serve
+Per lot, phases 2 and 3 call only the two policy hooks (``choose_single``,
+then ``take_single``) or the two batch rules (``choose_batch``, then
+``take_batch``), and the queue mutators (``add_lot``, then ``pop_head`` or
+``remove_batch``); the engine reads ``state.recipes`` and each workcenter's
+view directly. The batch rules are looked up on the ``baseline`` module at
+call time, so a wrapper installed there (``bench/run.py`` traces them) sees
+every call. ``choose_batch`` also tags its choice "join" or "new"; the
+engine receives that tag and drops it. The initial dispatch of ``init_run``
+runs the same loop as phase 2. ``next_step`` and ``Workcenter.view`` serve
 callers outside the tick loop.
 """
 
@@ -49,6 +56,7 @@ import random
 from collections import Counter
 from collections.abc import Iterable
 
+from . import baseline
 from .baseline import BaselinePolicy, shuffle
 from .flocking import first_same_type_distance
 from .metrics import LotRecord, RunResult
@@ -124,9 +132,10 @@ class SimState:
 def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
     """Phase 2 after the shuffle, and the initial dispatch: in list order, a
     lot whose cursor is past its recipe finishes at ``clock``, and every
-    other lot joins the queue the policy chooses at the workcenter of its
-    next step, arming the waiting timer of a batch queue it makes
-    nonempty."""
+    other lot joins a queue at the workcenter of its next step, the one
+    ``baseline.choose_batch`` picks at a batch workcenter, arming the
+    waiting timer of a queue it makes nonempty, and otherwise the one the
+    policy's ``choose_single`` picks."""
     recipes = state.recipes
     workcenters = state.workcenters
     policy = state.policy
@@ -140,10 +149,13 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
             state.last_finish_tick = clock
             continue
         wc = workcenters[recipe[cursor]]
-        target = policy.choose_queue(lot, wc._view, rng)
-        queue = wc.queues[target]
-        if not queue.size and wc.mtype.kind is MachineKind.BATCH:
-            wc.machines[target].wt_armed_at = clock
+        if wc.mtype.kind is MachineKind.BATCH:
+            target = baseline.choose_batch(lot, wc._view, rng)[0]
+            queue = wc.queues[target]
+            if not queue.size:
+                wc.machines[target].wt_armed_at = clock
+        else:
+            queue = wc.queues[policy.choose_single(lot, wc._view, rng)]
         queue.add_lot(lot)
         lot.enqueue_time = clock
 
@@ -151,7 +163,7 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
 def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
     """Fresh simulation at tick 0 with every lot queued at its first step.
 
-    Lots are dispatched in a seeded random order through the policy's queue
+    Lots are dispatched in a seeded random order through phase 2's queue
     choice. Rejects scenarios whose recipes reference unknown machine types.
     """
     scenario.validate()
@@ -221,11 +233,9 @@ def tick(state: SimState) -> SimState:
             lot.total_queue_ticks += clock - lot.enqueue_time
             m.current_batch = [lot]
         else:
-            batch = policy.take_batch(m, queue, rng, clock - m.wt_armed_at >= mtype.wt_ticks)
+            batch = baseline.take_batch(m, queue, rng, clock - m.wt_armed_at >= mtype.wt_ticks)
             if batch is None:
                 continue
-            if not batch.lots:
-                raise RuntimeError(f"{policy.name}: returned an empty batch")
             queue.remove_batch(batch)
             for lot in batch.lots:
                 lot.total_queue_ticks += clock - lot.enqueue_time

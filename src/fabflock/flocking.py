@@ -3,9 +3,10 @@
 Lots of one type behave as a loose flock. At single-step workcenters they
 spread out: an arriving lot prefers the queues holding the fewest lots of its
 own type and only then the shortest of those. They cohere in time through
-queue reshuffling just before a machine takes its next lot. Batch workcenter
-decisions reuse the baseline rules unchanged, since those already gather
-same-type lots into shared batches.
+queue reshuffling just before a machine takes its next lot. The policy
+changes single-step decisions only: the engine runs the baseline batch rules
+at batch workcenters under every policy, and those already gather same-type
+lots into shared batches.
 
 Reshuffling works on the first-lots queue (FLSQ): the first ``flsq_len``
 positions of the taking machine's queue. Every lot in the window compares its
@@ -52,7 +53,8 @@ from __future__ import annotations
 
 import random
 
-# choose_batch and take_batch stay imported: bench/run.py traces them under these names.
+# choose_batch and take_batch stay imported: bench/run.py traces them under these names,
+# though the engine calls them on the baseline module.
 from .baseline import BaselinePolicy, choose_batch, pick_uniform, shuffle, take_batch  # noqa: F401
 from .model import Lot, Machine, MultiQueue, WorkcenterView
 
@@ -70,6 +72,9 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     machines queueing the type, so the fewest is 0 while some machine is
     missing from it, and otherwise the least count in it. The first call at
     a workcenter starts its lot-type tracking.
+
+    The walk ends after the last bucket: a ``type_counts`` that disagrees
+    with the queues can leave it without a tie, which raises RuntimeError.
     """
     index = view.index
     counts = index.type_counts
@@ -79,9 +84,11 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     least = 0 if len(held) < len(view) else min(held.values())
     buckets = index.buckets
     n = index.min_len
-    while True:
+    left = len(buckets)  # buckets not yet visited
+    while left:
         bucket = buckets.get(n)
         if bucket is not None:
+            left -= 1
             if least:
                 ties = [i for i in bucket if held[i] == least]
             else:
@@ -89,6 +96,9 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
             if ties:
                 return pick_uniform(ties, rng)
         n += 1
+    raise RuntimeError(
+        f"workcenter {view.mtype.id}: stale index.type_counts, no machine queues "
+        f"{least} lots of type {lot.lot_type}")
 
 
 def first_same_type_distance(lot_type: int, view: WorkcenterView,
@@ -180,8 +190,8 @@ def take_single(machine: Machine, queue: MultiQueue, view: WorkcenterView,
 
 
 class FlockingPolicy(BaselinePolicy):
-    """Separation at queue choice, cohesion-in-time at take time; batch
-    decisions stay the inherited baseline rules."""
+    """Separation at queue choice, cohesion-in-time at take time, both at
+    single-step workcenters."""
 
     name = "flocking"
 

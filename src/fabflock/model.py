@@ -202,15 +202,20 @@ class QueueIndex:
         self.changed: set[int] | None = None
 
     def move(self, i: int, old: int, new: int) -> None:
-        """Move machine ``i`` from the bucket of length ``old`` to ``new``.
-        ``add_lot`` and ``pop_head`` inline this for their one-lot moves."""
+        """Move machine ``i`` from the bucket of length ``old`` to ``new``,
+        keeping ``min_len``. Every queue mutator moves its owner through
+        here, whether one lot or a whole batch changes the length."""
         buckets = self.buckets
         bucket = buckets[old]
         if len(bucket) == 1:
             del buckets[old]
         else:
             bucket.remove(i)
-        insort(buckets.setdefault(new, []), i)
+        bucket = buckets.get(new)
+        if bucket is None:
+            buckets[new] = [i]
+        else:
+            insort(bucket, i)
         if new < self.min_len:
             self.min_len = new
         elif old == self.min_len and old not in buckets:
@@ -235,7 +240,8 @@ class MultiQueue:
     ``size`` is the number of queued lots of either kind. Lots enter only
     through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
     and ``remove_batch``, which keep ``size`` and the workcenter's ``index``
-    current, and reorders inside ``lots`` leave both valid; a queue is
+    current (each moves the owner to its new length bucket through
+    ``index.move``), and reorders inside ``lots`` leave both valid; a queue is
     therefore built empty, from its owner alone. Queues compare by identity,
     as lots, batches and machines do.
 
@@ -267,19 +273,7 @@ class MultiQueue:
         self.size = n + 1
         x = self.index
         i = self.owner.index
-        buckets = x.buckets  # QueueIndex.move(i, n, n + 1), inlined
-        bucket = buckets[n]
-        if len(bucket) == 1:
-            del buckets[n]
-            if x.min_len == n:
-                x.min_len = n + 1
-        else:
-            bucket.remove(i)
-        bucket = buckets.get(n + 1)
-        if bucket is None:
-            buckets[n + 1] = [i]
-        else:
-            insort(bucket, i)
+        x.move(i, n, n + 1)
         t = lot.lot_type
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
@@ -336,19 +330,7 @@ class MultiQueue:
             else:
                 del counts[t]
             x.changed.add(i)
-        buckets = x.buckets  # QueueIndex.move(i, n, n - 1), inlined
-        bucket = buckets[n]
-        if len(bucket) == 1:
-            del buckets[n]
-        else:
-            bucket.remove(i)
-        bucket = buckets.get(n - 1)
-        if bucket is None:
-            buckets[n - 1] = [i]
-        else:
-            insort(bucket, i)
-        if x.min_len == n:
-            x.min_len = n - 1
+        x.move(i, n, n - 1)
         return lot
 
     def remove_batch(self, batch: Batch) -> None:
@@ -393,8 +375,8 @@ class WorkcenterView:
     per machine (``queue_len``) or from the buckets.
 
     ``track_lot_types`` builds the lot-type state (``index.type_counts`` and
-    ``index.changed``) on its first call; ``type_count``, ``type_counts``
-    and ``distance_index`` call it first.
+    ``index.changed``) on its first call; ``type_count`` and
+    ``distance_index`` call it first.
 
     The view also keeps the same-type distance index of one window length
     that ``distance_index`` returns. ``index.changed`` holds the indices of
@@ -450,11 +432,6 @@ class WorkcenterView:
     def type_count(self, i: int, lot_type: int) -> int:
         """Queued lots of ``lot_type`` at machine ``i`` (single-step queues)."""
         return self.track_lot_types().type_counts.get(lot_type, {}).get(i, 0)
-
-    def type_counts(self, lot_type: int) -> list[int]:
-        """``type_count`` of every machine, in machine order."""
-        held = self.track_lot_types().type_counts.get(lot_type, {})
-        return [held.get(i, 0) for i in range(len(self._queues))]
 
     def processing_type(self, i: int) -> int | None:
         return self._machines[i].processing_type

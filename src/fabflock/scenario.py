@@ -99,8 +99,9 @@ class Scenario(Record):
         The name must be one ``serialize_scenario`` writes back unchanged:
         a nonempty string without ``#``, whose words are separated by single
         spaces. ``tick_hours`` must be a positive, finite ``int`` or
-        ``float`` (a ``bool`` is rejected). Lot type ids, counts and recipe
-        steps must be ``int``s.
+        ``float`` (a ``bool`` is rejected), and every duration times
+        ``tick_hours`` a finite float, also as ``serialize_scenario`` writes
+        it. Lot type ids, counts and recipe steps must be ``int``s.
         """
         name = self.name
         if not isinstance(name, str) or not name or "#" in name \
@@ -135,9 +136,15 @@ class Scenario(Record):
                     raise ScenarioError(
                         f"lot type {ls.id}: recipe references unknown machine type {step}")
         for mt in self.machine_types:
-            if max(mt.raw_process_ticks, mt.wt_ticks) > MAX_STEP_TICKS:
+            longest = max(mt.raw_process_ticks, mt.wt_ticks)
+            if longest > MAX_STEP_TICKS:
                 raise ScenarioError(
                     f"machine type {mt.id}: a duration exceeds {MAX_STEP_TICKS} ticks")
+            hours = longest * tick_hours
+            if not (hours <= sys.float_info.max and math.isfinite(float(_hours_text(hours)))):
+                raise ScenarioError(
+                    f"machine type {mt.id}: {longest} ticks of {tick_hours!r} h is not "
+                    "a finite number of hours")
         if self.total_machines() > MAX_MACHINES:
             raise ScenarioError(f"more than {MAX_MACHINES} machines")
         if self.total_lots() > MAX_LOTS:
@@ -252,14 +259,19 @@ def serialize_scenario(scenario: Scenario) -> str:
     ]
     for mt in scenario.machine_types:
         line = (f"machinetype {mt.id} kind {mt.kind.value} count {mt.machine_count}"
-                f" rpt_hours {mt.raw_process_ticks * tick_hours:.15g}")
+                f" rpt_hours {_hours_text(mt.raw_process_ticks * tick_hours)}")
         if mt.kind is MachineKind.BATCH:
-            line += f" bs {mt.batch_size} wt_hours {mt.wt_ticks * tick_hours:.15g}"
+            line += f" bs {mt.batch_size} wt_hours {_hours_text(mt.wt_ticks * tick_hours)}"
         lines.append(line)
     for ls in scenario.lot_specs:
         steps = " ".join(str(s) for s in ls.recipe)
         lines.append(f"lottype {ls.id} count {ls.count} recipe {steps}")
     return "\n".join(lines) + "\n"
+
+
+def _hours_text(hours: float) -> str:
+    """A duration in hours as ``serialize_scenario`` writes it."""
+    return f"{hours:.15g}"
 
 
 def _parse_int(token: str, line_no: int, what: str) -> int:

@@ -2,10 +2,16 @@
 
 ``bench/run.py`` looks every ``SITES`` entry up as ``vars(owner)[attr]``, so
 a name the package stops defining would crash only the traced benchmark run.
-This test imports the script without running it and changes nothing there.
+These tests import the script without running it and change nothing there.
 """
 
 import sys
+from collections import Counter
+
+import pytest
+
+from fabflock import baseline, cli, engine
+from fabflock.scenario import build_small_fab
 
 
 def test_every_traced_site_is_defined_where_it_is_looked_up(bench_run):
@@ -16,3 +22,21 @@ def test_every_traced_site_is_defined_where_it_is_looked_up(bench_run):
                for name, sites in bench_run.SITES.items()
                for owner, attr in sites if attr not in vars(owner)]
     assert missing == []
+
+
+@pytest.mark.parametrize("policy", ["baseline", "flocking"])
+def test_the_batch_rules_are_called_where_the_trace_wraps_them(monkeypatch, policy):
+    # The traced benchmark's baseline.choose_batch and baseline.take_batch
+    # metrics count calls through the baseline module's attributes; a run
+    # that reached the rules some other way would read 0 for them.
+    calls = Counter()
+    for name in ("choose_batch", "take_batch"):
+        real = getattr(baseline, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(baseline, name, counted)
+    engine.run_to_completion(engine.init_run(build_small_fab(), cli.make_policy(policy), 1))
+    assert calls["choose_batch"] > 0 and calls["take_batch"] > 0

@@ -157,6 +157,13 @@ class TestExitCodes:
                                runs=3, base_seed=-1, out_dir=out)
         assert not out.exists()
 
+    def test_unknown_algorithm_rejected_before_output(self, tiny_path, tmp_path):
+        out = tmp_path / "r"
+        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
+            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline", "bogus"],
+                               runs=1, base_seed=1, out_dir=out)
+        assert not out.exists()
+
     def test_negative_seed_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "r"
         code = cli.main(["--runs", "3", "--seed", "-1", "--algorithm", "baseline",

@@ -1,9 +1,13 @@
 import random
+import signal
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import example, given, strategies as st
 
-from fabflock import baseline, flocking, model
+from fabflock import flocking, model
+from fabflock.baseline import BaselinePolicy
+from fabflock.engine import init_run, run_to_completion
 from fabflock.flocking import (
     FlockingPolicy,
     apply_pulls,
@@ -11,14 +15,16 @@ from fabflock.flocking import (
     pull_from_totals,
     reshuffle_flsq,
 )
+from fabflock.metrics import RunResult
 from fabflock.model import Lot, WorkcenterView
 
 from support import (
-    add_batch,
+    batch_type,
     fill_queue,
     lot,
-    make_batch_wc,
+    lots_spec,
     make_single_wc,
+    scenario_of,
     set_idle,
     set_processing,
 )
@@ -57,6 +63,28 @@ class TestChooseSingle:
             counts = [view.type_count(i, probe.lot_type) for i in range(3)]
             choice = flocking.choose_single(probe, view, rng)
             assert counts[choice] == min(counts)
+
+    def test_a_stale_zero_count_raises_instead_of_walking_on(self):
+        # Both machines queue type 7, but one count reads 0: no bucket holds
+        # a machine with 0 lots of the type, so the walk must stop after the
+        # last bucket. The alarm fails the test should the walk not stop.
+        wc = make_single_wc(2)
+        fill_queue(wc, 0, [7])
+        fill_queue(wc, 1, [7])
+        view = wc.view()
+        view.track_lot_types().type_counts[7][0] = 0
+
+        def timed_out(signum, frame):
+            raise TimeoutError("choose_single did not return")
+
+        previous = signal.signal(signal.SIGALRM, timed_out)
+        signal.alarm(5)
+        try:
+            with pytest.raises(RuntimeError, match="stale index.type_counts"):
+                flocking.choose_single(lot(7), view, random.Random(1))
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestFirstSameTypeDistance:
@@ -414,24 +442,16 @@ class TestTakeSingle:
         assert wc.queues[0].lots == queued
 
 
-class TestBatchDelegation:
-    def test_take_batch_matches_baseline(self):
-        wc = make_batch_wc(1, bs=4)
-        add_batch(wc, 0, lot_type=1, size=2)
-        add_batch(wc, 0, lot_type=2, size=3)
-        add_batch(wc, 0, lot_type=3, size=4)
-        policy = FlockingPolicy()
-        for expired in (False, True):
-            expected = baseline.take_batch(wc.machines[0], wc.queues[0],
-                                           random.Random(11), expired)
-            got = policy.take_batch(wc.machines[0], wc.queues[0],
-                                    random.Random(11), expired)
-            assert got is expected
-
-    def test_choose_queue_matches_baseline_on_batch_workcenters(self):
-        wc = make_batch_wc(3, bs=4)
-        add_batch(wc, 1, lot_type=7, size=3)
-        probe = lot(7)
-        expected = baseline.choose_batch(probe, wc.view(), random.Random(11))[0]
-        got = FlockingPolicy().choose_queue(probe, wc.view(), random.Random(11))
-        assert got == expected
+class TestBatchRulesUnderEveryPolicy:
+    def test_a_batch_only_plant_runs_alike_under_both_policies(self):
+        # The engine applies the baseline batch rules whatever the policy, so
+        # where every workcenter batches, flocking changes nothing but its name.
+        sc = scenario_of([batch_type(0, rpt=4, bs=3, wt=2, count=3),
+                          batch_type(1, rpt=3, bs=2, wt=5, count=2)],
+                         [lots_spec(t, 4 + t, [0, 1, 0]) for t in range(4)])
+        for seed in range(5):
+            base = run_to_completion(init_run(sc, BaselinePolicy(), seed))
+            flock = run_to_completion(init_run(sc, FlockingPolicy(), seed))
+            assert (base.algorithm, flock.algorithm) == ("baseline", "flocking")
+            assert [getattr(flock, f) for f in RunResult.__slots__ if f != "algorithm"] \
+                == [getattr(base, f) for f in RunResult.__slots__ if f != "algorithm"]

@@ -69,8 +69,7 @@ class TestQueueStartsEmpty:
     def test_counts_agree_for_lots_added_one_by_one(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [3, 3])
-        view = wc.view()
-        assert view.type_counts(3) == [2]
+        assert wc.view().track_lot_types().type_counts == {3: {0: 2}}
         assert [q.size for q in wc.queues] == [2]
 
     def test_a_view_adopts_only_empty_queues(self):
@@ -387,7 +386,8 @@ class TestLotTypeTracking:
 
         def assert_counts_equal_a_recount():
             assert index.type_counts == recount_type_counts(wc)
-            assert view.type_counts(arriving) == \
+            held = index.type_counts.get(arriving, {})
+            assert [held.get(i, 0) for i in range(N_MACHINES)] == \
                 [sum(l.lot_type == arriving for l in q.lots) for q in wc.queues]
 
         apply(before)
@@ -414,14 +414,13 @@ class TestDispatchReads:
         # when every machine already queues the lot's type: no rule lists
         # every machine.
         calls = Counter()
-        for name in ("type_count", "type_counts"):
-            real = getattr(WorkcenterView, name)
+        real = WorkcenterView.type_count
 
-            def counted(self, *args, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(self, *args)
+        def counted(self, *args):
+            calls["type_count"] += 1
+            return real(self, *args)
 
-            monkeypatch.setattr(WorkcenterView, name, counted)
+        monkeypatch.setattr(WorkcenterView, "type_count", counted)
         n = 50
         wc = make_single_wc(n)
         view = wc.view()

@@ -1,4 +1,5 @@
 import string
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -293,6 +294,27 @@ class TestValidateRejectsWhatTheFileCannotHold:
         sc = Scenario(fab.name, tick_hours, fab.machine_types, fab.lot_specs)
         with pytest.raises(ScenarioError, match="tick_hours"):
             sc.validate()
+
+    @pytest.mark.parametrize("tick_hours", [
+        10**308,     # an int product too large to format as a float
+        1e308,       # a float product that overflows to inf
+    ], ids=["int_10_pow_308", "float_1e308"])
+    def test_every_duration_is_a_finite_number_of_hours(self, tick_hours):
+        fab = build_small_fab()
+        sc = Scenario(fab.name, tick_hours, fab.machine_types, fab.lot_specs)
+        with pytest.raises(ScenarioError, match="finite number of hours"):
+            sc.validate()
+
+    def test_a_duration_rounding_up_past_the_float_range_is_rejected(self):
+        # One tick of sys.float_info.max hours is finite, but 15 significant
+        # digits, as serialize_scenario writes it, round it up to infinity.
+        steps = (MachineType(0, MachineKind.SINGLE_STEP, 1),)
+        sc = Scenario("x", sys.float_info.max, steps, (LotSpec(0, 1, (0,)),))
+        with pytest.raises(ScenarioError, match="finite number of hours"):
+            sc.validate()
+        sc = Scenario("x", 1e308, steps, (LotSpec(0, 1, (0,)),))
+        sc.validate()
+        assert parse_scenario(serialize_scenario(sc)) == sc
 
 
 class TestRecordsStoreTuples:
