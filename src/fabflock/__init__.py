@@ -28,6 +28,7 @@ from .model import (
     MachineType,
     MultiQueue,
     Recipe,
+    Workcenter,
     WorkcenterView,
     next_step,
 )
@@ -63,6 +64,7 @@ __all__ = [
     "ScenarioError",
     "SimState",
     "SimulationAbort",
+    "Workcenter",
     "WorkcenterView",
     "audit_state",
     "build_small_fab",

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Batch, Lot, Machine, MultiQueue, WorkcenterView
+from .model import Batch, Lot, Machine, MultiQueue, Workcenter
 
 
 # The two draw primitives take the same bits of ``rng.getrandbits``, in the
@@ -46,14 +46,14 @@ def shuffle(items: list, rng: random.Random) -> None:
         items[i], items[j] = items[j], items[i]
 
 
-def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
+def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     """Machine with the shortest queue; ties uniform. The index's lowest
     bucket lists exactly those machines, in machine order."""
-    index = view.index
+    index = wc.index
     return pick_uniform(index.buckets[index.min_len], rng)
 
 
-def choose_batch(lot: Lot, view: WorkcenterView, rng: random.Random) -> tuple[int, str]:
+def choose_batch(lot: Lot, wc: Workcenter, rng: random.Random) -> tuple[int, str]:
     """Queue choice at a batch workcenter: (machine index, "join" | "new").
 
     Joins the workcenter's partial batch of the lot's type that misses the
@@ -63,11 +63,11 @@ def choose_batch(lot: Lot, view: WorkcenterView, rng: random.Random) -> tuple[in
     Each machine holds at most one partial batch per type, so the
     candidates are the type's partial-batch owners, usually none or one.
     """
-    partials = view.partial_batches(lot.lot_type)
+    partials = wc.partial_batches(lot.lot_type)
     if partials:
         fullest = max(len(b.lots) for _, b in partials)
         return pick_uniform([i for i, b in partials if len(b.lots) == fullest], rng), "join"
-    return choose_single(lot, view, rng), "new"
+    return choose_single(lot, wc, rng), "new"
 
 
 def take_batch(machine: Machine, queue: MultiQueue,
@@ -91,11 +91,14 @@ class BaselinePolicy:
     policy. The engine calls two hooks, both at single-step workcenters
     only:
 
-    - ``choose_single(lot, view, rng)``: index of the machine whose queue an
+    - ``choose_single(lot, wc, rng)``: index of the machine whose queue an
       arriving lot joins;
-    - ``take_single(machine, queue, view, rng)``: runs just before an idle
+    - ``take_single(machine, queue, wc, rng)``: runs just before an idle
       single-step machine loads the head of its nonempty queue, and may only
       reorder that queue in place.
+
+    ``wc`` is the decision's ``model.Workcenter``, whose docstring gives
+    what a hook may change through it.
 
     Subclasses override these two. Batch workcenters run this module's
     ``choose_batch`` and ``take_batch`` under every policy; the engine calls
@@ -104,9 +107,9 @@ class BaselinePolicy:
 
     name = "baseline"
 
-    def choose_single(self, lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
-        return choose_single(lot, view, rng)
+    def choose_single(self, lot: Lot, wc: Workcenter, rng: random.Random) -> int:
+        return choose_single(lot, wc, rng)
 
     def take_single(self, machine: Machine, queue: MultiQueue,
-                    view: WorkcenterView, rng: random.Random) -> None:
+                    wc: Workcenter, rng: random.Random) -> None:
         """FIFO: the head stays where it is."""

@@ -41,13 +41,15 @@ one per-run ``random.Random``, making a run a pure function of
 Per lot, phases 2 and 3 call only the two policy hooks (``choose_single``,
 then ``take_single``) or the two batch rules (``choose_batch``, then
 ``take_batch``), and the queue mutators (``add_lot``, then ``pop_head`` or
-``remove_batch``); the engine reads ``state.recipes`` and each workcenter's
-view directly. The batch rules are looked up on the ``baseline`` module at
-call time, so a wrapper installed there (``bench/run.py`` traces them) sees
-every call. ``choose_batch`` also tags its choice "join" or "new"; the
-engine receives that tag and drops it. The initial dispatch of ``init_run``
-runs the same loop as phase 2. ``next_step`` and ``Workcenter.view`` serve
-callers outside the tick loop.
+``remove_batch``); the engine reads ``state.recipes`` directly and hands
+each decision the ``model.Workcenter`` it is taken at, the one held in
+``state.workcenters``. The batch rules are looked up on the ``baseline``
+module at call time, so a wrapper installed there (``bench/run.py`` traces
+them) sees every call. ``choose_batch`` also tags its choice "join" or
+"new"; the engine receives that tag and drops it. The initial dispatch of
+``init_run`` runs the same loop as phase 2. No code in the package calls
+``next_step`` or ``Workcenter.view``; the engine keeps both names only
+because ``bench/run.py`` ``SITES`` traces them.
 """
 
 from __future__ import annotations
@@ -65,10 +67,9 @@ from .model import (
     Lot,
     Machine,
     MachineKind,
-    MachineType,
     MultiQueue,
     Recipe,
-    WorkcenterView,
+    Workcenter,  # bench/run.py SITES also traces engine.Workcenter.view
     next_step,  # noqa: F401  (bench/run.py traces it under engine.next_step)
 )
 from .scenario import Scenario
@@ -76,24 +77,6 @@ from .scenario import Scenario
 
 class SimulationAbort(RuntimeError):
     """No lot finished within the livelock horizon."""
-
-
-class Workcenter:
-    """The machines of one machine type, their queues, and the one view
-    built over them (``view``)."""
-
-    __slots__ = ("mtype", "machines", "queues", "_view")
-
-    def __init__(self, mtype: MachineType, machines: list[Machine], queues: list[MultiQueue]):
-        self.mtype = mtype
-        self.machines = machines
-        self.queues = queues
-        self._view = WorkcenterView(mtype, machines, queues)
-
-    def view(self) -> WorkcenterView:
-        """The workcenter's one view; it reads the live machines and queues.
-        The tick loop reads ``_view`` directly."""
-        return self._view
 
 
 #: (workcenter, machine, the machine's queue): one entry of the tick loop's
@@ -150,12 +133,12 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
             continue
         wc = workcenters[recipe[cursor]]
         if wc.mtype.kind is MachineKind.BATCH:
-            target = baseline.choose_batch(lot, wc._view, rng)[0]
+            target = baseline.choose_batch(lot, wc, rng)[0]
             queue = wc.queues[target]
             if not queue.size:
                 wc.machines[target].wt_armed_at = clock
         else:
-            queue = wc.queues[policy.choose_single(lot, wc._view, rng)]
+            queue = wc.queues[policy.choose_single(lot, wc, rng)]
         queue.add_lot(lot)
         lot.enqueue_time = clock
 
@@ -168,11 +151,8 @@ def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
     """
     scenario.validate()
     rng = random.Random(seed)
-    workcenters: dict[int, Workcenter] = {}
-    for mt in sorted(scenario.machine_types, key=lambda m: m.id):
-        machines = [Machine(mt, i) for i in range(mt.machine_count)]
-        queues = [MultiQueue(owner=m) for m in machines]
-        workcenters[mt.id] = Workcenter(mt, machines, queues)
+    workcenters = {mt.id: Workcenter(mt)
+                   for mt in sorted(scenario.machine_types, key=lambda m: m.id)}
 
     lots: list[Lot] = []
     for ls in sorted(scenario.lot_specs, key=lambda s: s.id):
@@ -228,7 +208,7 @@ def tick(state: SimState) -> SimState:
             continue
         mtype = m.mtype
         if mtype.kind is MachineKind.SINGLE_STEP:
-            policy.take_single(m, queue, wc._view, rng)
+            policy.take_single(m, queue, wc, rng)
             lot = queue.pop_head()
             lot.total_queue_ticks += clock - lot.enqueue_time
             m.current_batch = [lot]
@@ -301,8 +281,8 @@ def audit_state(state: SimState) -> None:
     type and machine; an untracked one must hold no lot-type state at all
     (no counts, marks or distance index). Equality with a recount rules out
     empty buckets, empty inner tables and zero counts. Where a workcenter
-    view has built its same-type distance index, checks it without changing
-    it: every machine not in ``index.changed`` holds the
+    has built its same-type distance index, checks it without changing it:
+    every machine not in ``index.changed`` holds the
     ``first_same_type_distance`` of each lot type, and the per-type counts
     and sums equal those of the held maps. Debugging aid; the engine never
     calls it on its own.
@@ -339,14 +319,13 @@ def audit_state(state: SimState) -> None:
                         f"{m.label}: mixed lot types in batch"
                     seen.extend(l.id for l in b.lots)
         _audit_queue_index(wc)
-        _audit_distance_index(wc.view(), state.recipes)
+        _audit_distance_index(wc, state.recipes)
     seen.extend(l.id for l in state.finished)
     assert sorted(seen) == sorted(l.id for l in state.lots), "lot conservation violated"
 
 
 def _audit_queue_index(wc: Workcenter) -> None:
-    view = wc.view()
-    index = view.index
+    index = wc.index
     name = f"workcenter {wc.mtype.id}"
     bs = wc.mtype.batch_size
     buckets: dict[int, list[int]] = {}
@@ -367,7 +346,7 @@ def _audit_queue_index(wc: Workcenter) -> None:
     assert index.min_len == min(buckets), f"{name}: stale shortest queue length"
     assert index.partials == partials, f"{name}: stale partial-batch table"
     if index.type_counts is None:
-        assert index.changed is None and view.dist_window is None, \
+        assert index.changed is None and wc.dist_window is None, \
             f"{name}: lot-type state on an untracked workcenter"
         return
     assert index.changed is not None and index.changed <= set(range(len(wc.queues))), \
@@ -375,21 +354,21 @@ def _audit_queue_index(wc: Workcenter) -> None:
     assert index.type_counts == counts, f"{name}: stale lot-type counts"
 
 
-def _audit_distance_index(view: WorkcenterView, lot_types: Iterable[int]) -> None:
-    window = view.dist_window
+def _audit_distance_index(wc: Workcenter, lot_types: Iterable[int]) -> None:
+    window = wc.dist_window
     if window is None:
         return
     counts: Counter = Counter()
     sums: Counter = Counter()
-    for i, held in enumerate(view.dist_maps):
-        if i not in view.index.changed:
+    for i, held in enumerate(wc.dist_maps):
+        if i not in wc.index.changed:
             fresh = {t: d for t in lot_types
-                     if (d := first_same_type_distance(t, view, i, window)) is not None}
-            assert held == fresh, f"machine {i} of workcenter {view.mtype.id}: " \
+                     if (d := first_same_type_distance(t, wc, i, window)) is not None}
+            assert held == fresh, f"machine {i} of workcenter {wc.mtype.id}: " \
                 "stale same-type distances without a mark"
         counts.update(held.keys())
         sums.update(held)
-    for t in set(counts) | set(view.dist_counts):
-        assert (view.dist_counts.get(t, 0), view.dist_sums.get(t, 0)) == \
+    for t in set(counts) | set(wc.dist_counts):
+        assert (wc.dist_counts.get(t, 0), wc.dist_sums.get(t, 0)) == \
             (counts[t], sums[t]), \
-            f"workcenter {view.mtype.id}: stale distance count or sum of type {t}"
+            f"workcenter {wc.mtype.id}: stale distance count or sum of type {t}"

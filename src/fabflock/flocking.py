@@ -19,22 +19,22 @@ are applied in random visit order, so an earlier insertion can displace a lot
 before its own move; the resulting fuzzy drift is intended. Lots beyond the
 window never move.
 
-The distances come from the workcenter view's same-type distance index
-(``WorkcenterView.distance_index``), so a take costs O(window + machines
-changed since the last take at the workcenter), not O(machines x window).
-The index keeps, per machine, its ``{lot type: distance}`` map and, per lot
-type, the count and sum of those distances; it re-derives only the machines
-in ``index.changed``. ``index`` is the workcenter's ``model.QueueIndex``,
-the one object of workcenter-wide state every queue holds as
-``queue.index`` and the view as ``view.index``. Separation reads the same
-object: its queue-length buckets and its per-type table of how many lots
-each machine queues, which the queue mutators keep current, so an arriving
-lot costs O(machines in the buckets walked), not O(machines). Only when
-every machine already queues the lot's type does it also take the minimum
-over that type's counts. The type counts and marks exist only once
-``WorkcenterView.track_lot_types`` has run at the workcenter;
-``choose_single`` and ``distance_index`` call it on first use, so a
-baseline run never builds them.
+The distances come from the same-type distance index of the
+``model.Workcenter`` the hooks receive (``Workcenter.distance_index``), so a
+take costs O(window + machines changed since the last take at the
+workcenter), not O(machines x window). The index keeps, per machine, its
+``{lot type: distance}`` map and, per lot type, the count and sum of those
+distances; it re-derives only the machines in ``index.changed``. ``index``
+is the workcenter's ``model.QueueIndex``, the one object of workcenter-wide
+state every queue holds as ``queue.index`` and the workcenter as
+``wc.index``. Separation reads the same object: its queue-length buckets
+and its per-type table of how many lots each machine queues, which the
+queue mutators keep current, so an arriving lot costs O(machines in the
+buckets walked), not O(machines). Only when every machine already queues
+the lot's type does it also take the minimum over that type's counts. The
+type counts and marks exist only once ``Workcenter.track_lot_types`` has
+run at the workcenter; ``choose_single`` and ``distance_index`` call it on
+first use, so a baseline run never builds them.
 
 The marking contract, once tracking has started (which marks every
 machine): whatever changes a single-step machine's queue window or
@@ -56,12 +56,12 @@ import random
 # choose_batch and take_batch stay imported: bench/run.py traces them under these names,
 # though the engine calls them on the baseline module.
 from .baseline import BaselinePolicy, choose_batch, pick_uniform, shuffle, take_batch  # noqa: F401
-from .model import Lot, Machine, MultiQueue, WorkcenterView
+from .model import Lot, Machine, MultiQueue, Workcenter
 
 DEFAULT_FLSQ_LEN = 5
 
 
-def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
+def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     """Among the queues with the fewest lots of the lot's own type, take the
     shortest; remaining ties uniform.
 
@@ -73,22 +73,24 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
     missing from it, and otherwise the least count in it. The first call at
     a workcenter starts its lot-type tracking.
 
-    The walk ends after the last bucket: a ``type_counts`` that disagrees
-    with the queues can leave it without a tie, which raises RuntimeError.
+    The walk ends after the longest bucket. An index that disagrees with the
+    queues raises RuntimeError: a ``min_len`` that is no bucket's length, or
+    a stale ``min_len`` or ``type_counts`` that leaves the walk without a tie.
     """
-    index = view.index
+    index = wc.index
     counts = index.type_counts
     if counts is None:
-        counts = view.track_lot_types().type_counts
+        counts = wc.track_lot_types().type_counts
     held = counts.get(lot.lot_type, {})
-    least = 0 if len(held) < len(view) else min(held.values())
+    least = 0 if len(held) < len(wc) else min(held.values())
     buckets = index.buckets
     n = index.min_len
-    left = len(buckets)  # buckets not yet visited
-    while left:
+    if n not in buckets:
+        raise RuntimeError(f"workcenter {wc.mtype.id}: stale index.min_len {n}")
+    top = max(buckets)
+    while n <= top:
         bucket = buckets.get(n)
         if bucket is not None:
-            left -= 1
             if least:
                 ties = [i for i in bucket if held[i] == least]
             else:
@@ -96,24 +98,25 @@ def choose_single(lot: Lot, view: WorkcenterView, rng: random.Random) -> int:
             if ties:
                 return pick_uniform(ties, rng)
         n += 1
+    stale = "min_len" if min(buckets) < index.min_len else "type_counts"
     raise RuntimeError(
-        f"workcenter {view.mtype.id}: stale index.type_counts, no machine queues "
-        f"{least} lots of type {lot.lot_type}")
+        f"workcenter {wc.mtype.id}: stale index.{stale}, no machine at or above "
+        f"length {index.min_len} queues {least} lots of type {lot.lot_type}")
 
 
-def first_same_type_distance(lot_type: int, view: WorkcenterView,
+def first_same_type_distance(lot_type: int, wc: Workcenter,
                              machine_index: int, window_len: int) -> int | None:
     """Distance from machine ``machine_index`` to its nearest ``lot_type`` lot.
 
     0 while the machine processes that type, otherwise the 1-based queue
     position of the first such lot inside the machine's window; None when the
     type is visible neither on the machine nor in the window. This is the
-    per-machine rule; the view's distance index (``model.machine_distances``)
-    applies it to every type of a machine at once.
+    per-machine rule; ``model.machine_distances`` applies it to every type
+    of a machine at once.
     """
-    if view.processing_type(machine_index) == lot_type:
+    if wc.processing_type(machine_index) == lot_type:
         return 0
-    for pos, t in enumerate(view.window_types(machine_index, window_len), start=1):
+    for pos, t in enumerate(wc.window_types(machine_index, window_len), start=1):
         if t == lot_type:
             return pos
     return None
@@ -156,37 +159,37 @@ def apply_pulls(lots: list[Lot], pulls: dict[int, int],
             lots.insert(j, lot)
 
 
-def reshuffle_flsq(queue: MultiQueue, view: WorkcenterView, own_index: int,
+def reshuffle_flsq(queue: MultiQueue, wc: Workcenter, own_index: int,
                    rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> None:
     """Reorder the window of ``queue`` in place.
 
     Pulls for all window lots are computed first, against one snapshot of the
-    other machines: the view's distance index gives, per lot type, how many
-    machines show it and the sum of their distances, and subtracting the own
-    machine's entry leaves the other machines'. Every window lot's type is in
-    the own machine's entry, since the window is the own machine's window.
-    The pulls are then applied via ``apply_pulls``, and the own machine is
-    marked changed. Only called for the machine about to take a lot; the
-    other queues reorder when their own machine takes.
+    other machines: the workcenter's distance index gives, per lot type, how
+    many machines show it and the sum of their distances, and subtracting
+    the own machine's entry leaves the other machines'. Every window lot's
+    type is in the own machine's entry, since the window is the own
+    machine's window. The pulls are then applied via ``apply_pulls``, and
+    the own machine is marked changed. Only called for the machine about to
+    take a lot; the other queues reorder when their own machine takes.
     """
     lots = queue.lots
     w = min(window_len, len(lots))
     if w <= 1:
         return
-    maps, counts, sums = view.distance_index(window_len)
+    maps, counts, sums = wc.distance_index(window_len)
     own = maps[own_index]
     pulls = {}
     for pos, lot in enumerate(lots[:w], start=1):
         t = lot.lot_type
         pulls[lot.id] = pull_from_totals(pos, counts[t] - 1, sums[t] - own[t])
     apply_pulls(lots, pulls, window_len, rng)
-    view.index.changed.add(own_index)
+    wc.index.changed.add(own_index)
 
 
-def take_single(machine: Machine, queue: MultiQueue, view: WorkcenterView,
+def take_single(machine: Machine, queue: MultiQueue, wc: Workcenter,
                 rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> None:
     """Reshuffle the queue window; the engine then loads the new head."""
-    reshuffle_flsq(queue, view, machine.index, rng, window_len)
+    reshuffle_flsq(queue, wc, machine.index, rng, window_len)
 
 
 class FlockingPolicy(BaselinePolicy):
@@ -200,10 +203,10 @@ class FlockingPolicy(BaselinePolicy):
             raise ValueError("flsq_len must be >= 1")
         self.flsq_len = flsq_len
 
-    def choose_single(self, lot, view, rng):
-        return choose_single(lot, view, rng)
+    def choose_single(self, lot, wc, rng):
+        return choose_single(lot, wc, rng)
 
-    def take_single(self, machine, queue, view, rng):
+    def take_single(self, machine, queue, wc, rng):
         """Reshuffle the window; a queue of one lot has nothing to reorder."""
         if queue.size > 1:
-            take_single(machine, queue, view, rng, self.flsq_len)
+            take_single(machine, queue, wc, rng, self.flsq_len)

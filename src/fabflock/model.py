@@ -43,8 +43,9 @@ class Record:
     that, assigning or deleting an attribute raises AttributeError. Two
     records are equal when they are of one class with equal fields, and a
     record hashes its fields, so one holding a dict is unhashable. The
-    runtime classes below (``Lot``, ``Batch``, ``Machine``, ``MultiQueue``)
-    are plain slotted classes that compare by identity.
+    runtime classes below (``Lot``, ``Batch``, ``Machine``, ``QueueIndex``,
+    ``MultiQueue``, ``Workcenter``) are plain slotted classes that compare
+    by identity.
     """
 
     __slots__ = ()
@@ -156,11 +157,6 @@ class Machine:
         return bool(self.current_batch)
 
     @property
-    def processing_type(self) -> int | None:
-        """Lot type currently on the machine, or None when idle."""
-        return self.current_batch[0].lot_type if self.current_batch else None
-
-    @property
     def label(self) -> str:
         return f"m{self.mtype.id}.{self.index}"
 
@@ -179,23 +175,23 @@ class QueueIndex:
     last machine leaves it, so none is ever empty.
 
     The lot-type state is tracked only once a reader asks for it
-    (``WorkcenterView.track_lot_types``); until then ``type_counts`` and
+    (``Workcenter.track_lot_types``); until then ``type_counts`` and
     ``changed`` are None. Once tracked, ``type_counts`` maps each lot type
     queued at a single-step machine to ``{machine index: queued lots of the
     type}``, with no zero count and no empty inner table, so its keys are
     the machines queueing the type. ``changed`` holds the machines whose
-    same-type distances ``WorkcenterView.distance_index`` must re-derive; it
+    same-type distances ``Workcenter.distance_index`` must re-derive; it
     starts with every machine.
 
-    Built by the workcenter's view, held by every queue as ``queue.index``;
-    it refers to neither, so a finished run is freed by reference counting
-    alone.
+    Built by its ``Workcenter``, held by it and by every queue as
+    ``queue.index``; it refers to neither, so a finished run is freed by
+    reference counting alone.
     """
 
     __slots__ = ("buckets", "min_len", "type_counts", "partials", "changed")
 
-    def __init__(self, n_machines: int):
-        self.buckets: dict[int, list[int]] = {0: list(range(n_machines))}
+    def __init__(self, machine_count: int):
+        self.buckets: dict[int, list[int]] = {0: list(range(machine_count))}
         self.min_len = 0
         self.type_counts: dict[int, dict[int, int]] | None = None
         self.partials: dict[int, dict[int, Batch]] = {}
@@ -242,25 +238,24 @@ class MultiQueue:
     and ``remove_batch``, which keep ``size`` and the workcenter's ``index``
     current (each moves the owner to its new length bucket through
     ``index.move``), and reorders inside ``lots`` leave both valid; a queue is
-    therefore built empty, from its owner alone. Queues compare by identity,
-    as lots, batches and machines do.
+    therefore built empty, from its owner and that index alone. Queues
+    compare by identity, as lots, batches and machines do.
 
     ``index`` is the ``QueueIndex`` of the owner's workcenter, the one piece
-    of workcenter-wide state a queue holds. The workcenter's view sets it
-    when it adopts the queue, and a queue takes lots only after that. While
-    the index tracks lot types, both single-step mutators also keep
-    ``index.type_counts`` and mark the owner in ``index.changed``; one
-    ``is not None`` test skips that work otherwise.
+    of workcenter-wide state a queue holds; the ``Workcenter`` that builds
+    the queue passes it in. While the index tracks lot types, both
+    single-step mutators also keep ``index.type_counts`` and mark the owner
+    in ``index.changed``; one ``is not None`` test skips that work otherwise.
     """
 
     __slots__ = ("owner", "lots", "batches", "size", "index")
 
-    def __init__(self, owner: Machine):
+    def __init__(self, owner: Machine, index: QueueIndex):
         self.owner = owner
         self.lots: list[Lot] = []
         self.batches: list[Batch] = []
         self.size = 0
-        self.index: QueueIndex | None = None
+        self.index = index
 
     def total_len(self) -> int:
         return self.size
@@ -356,47 +351,46 @@ class MultiQueue:
         return any(len(b.lots) == bs for b in self.batches)
 
 
-class WorkcenterView:
-    """Read-only view of one workcenter's live state.
+class Workcenter:
+    """All machines of one machine type, their queues, and the
+    workcenter-wide state the dispatch rules read.
 
-    Policies use it to inspect queue lengths, queued lot types, partial
-    batches, and what each machine is processing. Each workcenter builds one
-    view over its ``mtype`` and hands it to every decision; every read goes
-    to the current machines and queues, so a value read before a queue
-    changes is stale afterwards. Callers must not mutate anything reached
-    through it.
+    Built from its ``mtype`` alone: ``machines`` holds ``mtype.machine_count``
+    idle machines in index order, and ``queues[i]`` is the empty queue of
+    ``machines[i]``. The engine keeps one per machine type in
+    ``SimState.workcenters`` and hands that object to every decision taken
+    there: the policy hooks and the batch rules. Decisions only read it and
+    must not mutate anything reached through it, except where a hook's
+    contract allows; every read goes to the live machines and queues, so a
+    value read before a queue changes is stale afterwards.
 
-    ``index`` is the workcenter's ``QueueIndex``, which the view builds and
-    every queue it adopts keeps current. It answers the dispatch rules'
-    questions without visiting the machines: the shortest queues are
-    ``index.buckets[index.min_len]``, the machines queueing a lot type and
-    how many lots of it each queues are ``index.type_counts``, and the
-    partial batches of a type are ``index.partials``. Queue lengths are read
-    per machine (``queue_len``) or from the buckets.
+    ``index`` is the workcenter's ``QueueIndex``, which every queue keeps
+    current. It answers the dispatch rules' questions without visiting the
+    machines: the shortest queues are ``index.buckets[index.min_len]``, the
+    machines queueing a lot type and how many lots of it each queues are
+    ``index.type_counts``, and the partial batches of a type are
+    ``index.partials``. Queue lengths are read per machine (``queue_len``)
+    or from the buckets.
 
     ``track_lot_types`` builds the lot-type state (``index.type_counts`` and
     ``index.changed``) on its first call; ``type_count`` and
     ``distance_index`` call it first.
 
-    The view also keeps the same-type distance index of one window length
-    that ``distance_index`` returns. ``index.changed`` holds the indices of
-    the machines whose entry must be re-derived before the next read; it
-    starts with every machine, and the ``flocking`` module docstring states
-    who adds to it.
+    The workcenter also keeps the same-type distance index of one window
+    length that ``distance_index`` returns. ``index.changed`` holds the
+    indices of the machines whose entry must be re-derived before the next
+    read; it starts with every machine, and the ``flocking`` module
+    docstring states who adds to it.
     """
 
-    __slots__ = ("mtype", "_machines", "_queues", "index",
+    __slots__ = ("mtype", "machines", "queues", "index",
                  "dist_window", "dist_maps", "dist_counts", "dist_sums")
 
-    def __init__(self, mtype: MachineType, machines: list[Machine], queues: list[MultiQueue]):
+    def __init__(self, mtype: MachineType):
         self.mtype = mtype
-        self._machines = machines
-        self._queues = queues
-        self.index = QueueIndex(len(machines))
-        for q in queues:
-            if q.size:
-                raise ValueError("a workcenter view adopts only empty queues")
-            q.index = self.index
+        self.machines = [Machine(mtype, i) for i in range(mtype.machine_count)]
+        self.index = QueueIndex(mtype.machine_count)
+        self.queues = [MultiQueue(m, self.index) for m in self.machines]
         #: Window length of the index; None until ``distance_index`` builds it.
         self.dist_window: int | None = None
         #: Per machine, ``machine_distances`` as of its last re-derivation.
@@ -405,11 +399,16 @@ class WorkcenterView:
         self.dist_counts: dict[int, int] = {}
         self.dist_sums: dict[int, int] = {}
 
+    def view(self) -> Workcenter:
+        """The workcenter itself. Kept only because ``bench/run.py`` ``SITES``
+        traces ``engine.Workcenter.view`` by name."""
+        return self
+
     def __len__(self) -> int:
-        return len(self._machines)
+        return len(self.machines)
 
     def queue_len(self, i: int) -> int:
-        return self._queues[i].size
+        return self.queues[i].size
 
     def track_lot_types(self) -> QueueIndex:
         """Start tracking lot types, if not yet on, and return the index.
@@ -421,12 +420,12 @@ class WorkcenterView:
         index = self.index
         if index.type_counts is None:
             counts: dict[int, dict[int, int]] = {}
-            for i, q in enumerate(self._queues):
+            for i, q in enumerate(self.queues):
                 for lot in q.lots:
                     held = counts.setdefault(lot.lot_type, {})
                     held[i] = held.get(i, 0) + 1
             index.type_counts = counts
-            index.changed = set(range(len(self._queues)))
+            index.changed = set(range(len(self.queues)))
         return index
 
     def type_count(self, i: int, lot_type: int) -> int:
@@ -434,11 +433,13 @@ class WorkcenterView:
         return self.track_lot_types().type_counts.get(lot_type, {}).get(i, 0)
 
     def processing_type(self, i: int) -> int | None:
-        return self._machines[i].processing_type
+        """Lot type on machine ``i``, or None while it is idle."""
+        batch = self.machines[i].current_batch
+        return batch[0].lot_type if batch else None
 
     def window_types(self, i: int, window_len: int) -> list[int]:
         """Lot types of the first ``window_len`` queued lots at machine ``i``."""
-        return [lot.lot_type for lot in self._queues[i].lots[:window_len]]
+        return [lot.lot_type for lot in self.queues[i].lots[:window_len]]
 
     def distance_index(self, window_len: int
                        ) -> tuple[list[dict[int, int]], dict[int, int], dict[int, int]]:
@@ -458,13 +459,13 @@ class WorkcenterView:
             changed = self.track_lot_types().changed
         if window_len != self.dist_window:
             self.dist_window = window_len
-            maps[:] = [{} for _ in self._machines]
+            maps[:] = [{} for _ in self.machines]
             counts.clear()
             sums.clear()
             changed.update(range(len(maps)))
         for i in changed:
             held = maps[i]  # replaced below, so emptied as it is compared
-            fresh = machine_distances(self._machines[i], self._queues[i], window_len)
+            fresh = machine_distances(self.machines[i], self.queues[i], window_len)
             for t, d in fresh.items():
                 old = held.pop(t, None)
                 if old is None:
@@ -484,6 +485,11 @@ class WorkcenterView:
         machine order; a queue holds at most one per type."""
         owners = self.index.partials.get(lot_type)
         return sorted(owners.items()) if owners else []
+
+
+#: Kept only because ``bench/run.py`` ``SITES`` traces the view methods as
+#: ``model.WorkcenterView.<method>``.
+WorkcenterView = Workcenter
 
 
 def machine_distances(machine: Machine, queue: MultiQueue, window_len: int) -> dict[int, int]:

@@ -99,7 +99,8 @@ class Scenario(Record):
         The name must be one ``serialize_scenario`` writes back unchanged:
         a nonempty string without ``#``, whose words are separated by single
         spaces. ``tick_hours`` must be a positive, finite ``int`` or
-        ``float`` (a ``bool`` is rejected), and every duration times
+        ``float`` (a ``bool`` is rejected), an ``int`` one equal to its
+        ``float`` so that it parses back equal, and every duration times
         ``tick_hours`` a finite float, also as ``serialize_scenario`` writes
         it. Lot type ids, counts and recipe steps must be ``int``s.
         """
@@ -145,6 +146,9 @@ class Scenario(Record):
                 raise ScenarioError(
                     f"machine type {mt.id}: {longest} ticks of {tick_hours!r} h is not "
                     "a finite number of hours")
+        if type(tick_hours) is int and float(tick_hours) != tick_hours:
+            raise ScenarioError(f"tick_hours {tick_hours!r} is an int no float equals, "
+                                "so the file cannot hold it")
         if self.total_machines() > MAX_MACHINES:
             raise ScenarioError(f"more than {MAX_MACHINES} machines")
         if self.total_lots() > MAX_LOTS:

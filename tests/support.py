@@ -5,9 +5,8 @@ from __future__ import annotations
 import itertools
 import json
 
-from fabflock.engine import Workcenter
 from fabflock.metrics import LotRecord, RunResult
-from fabflock.model import Batch, Lot, Machine, MachineKind, MachineType, MultiQueue
+from fabflock.model import Batch, Lot, MachineKind, MachineType, Workcenter
 from fabflock.scenario import LotSpec, Scenario
 
 _ids = itertools.count()
@@ -27,20 +26,14 @@ def lot(lot_type: int) -> Lot:
 
 
 def make_single_wc(n_machines: int, rpt: int = 2, type_id: int = 0) -> Workcenter:
-    mt = MachineType(type_id, MachineKind.SINGLE_STEP, raw_process_ticks=rpt,
-                     machine_count=n_machines)
-    machines = [Machine(mt, i) for i in range(n_machines)]
-    queues = [MultiQueue(owner=m) for m in machines]
-    return Workcenter(mt, machines, queues)
+    return Workcenter(MachineType(type_id, MachineKind.SINGLE_STEP, raw_process_ticks=rpt,
+                                  machine_count=n_machines))
 
 
 def make_batch_wc(n_machines: int, bs: int = 4, wt: int = 3, rpt: int = 15,
                   type_id: int = 0) -> Workcenter:
-    mt = MachineType(type_id, MachineKind.BATCH, raw_process_ticks=rpt,
-                     batch_size=bs, wt_ticks=wt, machine_count=n_machines)
-    machines = [Machine(mt, i) for i in range(n_machines)]
-    queues = [MultiQueue(owner=m) for m in machines]
-    return Workcenter(mt, machines, queues)
+    return Workcenter(MachineType(type_id, MachineKind.BATCH, raw_process_ticks=rpt,
+                                  batch_size=bs, wt_ticks=wt, machine_count=n_machines))
 
 
 def fill_queue(wc: Workcenter, i: int, lot_types) -> list[Lot]:
@@ -56,7 +49,7 @@ def set_processing(wc: Workcenter, i: int, lot_type: int) -> Lot:
     item = lot(lot_type)
     wc.machines[i].current_batch = [item]
     wc.machines[i].busy_remaining = 1
-    wc.view().track_lot_types().changed.add(i)
+    wc.track_lot_types().changed.add(i)
     return item
 
 
@@ -64,7 +57,7 @@ def set_idle(wc: Workcenter, i: int) -> None:
     """Take machine i's lot off it, as a release does."""
     wc.machines[i].current_batch = []
     wc.machines[i].busy_remaining = 0
-    wc.view().track_lot_types().changed.add(i)
+    wc.track_lot_types().changed.add(i)
 
 
 def add_batch(wc: Workcenter, i: int, lot_type: int, size: int) -> Batch:

@@ -99,12 +99,11 @@ def test_criterion_4_worked_reshuffle_example():
     set_processing(wc, 2, BLUE)
     fill_queue(wc, 2, [GREEN, ORANGE])
     fill_queue(wc, 3, [BLUE, GREEN])
-    view = wc.view()
 
     orange_distances = [d for i in (1, 2, 3)
-                        if (d := first_same_type_distance(ORANGE, view, i, 5)) is not None]
+                        if (d := first_same_type_distance(ORANGE, wc, i, 5)) is not None]
     blue_distances = [d for i in (1, 2, 3)
-                      if (d := first_same_type_distance(BLUE, view, i, 5)) is not None]
+                      if (d := first_same_type_distance(BLUE, wc, i, 5)) is not None]
     orange_pull = pull_from_totals(1, len(orange_distances), sum(orange_distances))
     blue_pull = pull_from_totals(2, len(blue_distances), sum(blue_distances))
     ok = (sorted(orange_distances) == [2, 2] and orange_pull == 1
@@ -189,10 +188,10 @@ def _random_scenario(rng):
 class _PrefixCheckingFlocking(FlockingPolicy):
     """Asserts the reshuffle window stays a permuted prefix on every take."""
 
-    def take_single(self, machine, queue, view, rng):
+    def take_single(self, machine, queue, wc, rng):
         before = list(queue.lots)
         w = min(self.flsq_len, len(before))
-        super().take_single(machine, queue, view, rng)
+        super().take_single(machine, queue, wc, rng)
         after = queue.lots
         assert sorted(id(x) for x in after[:w]) == sorted(id(x) for x in before[:w])
         assert all(a is b for a, b in zip(after[w:], before[w:]))

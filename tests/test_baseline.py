@@ -17,19 +17,19 @@ class TestChooseSingle:
         fill_queue(wc, 0, [0] * 3)
         fill_queue(wc, 1, [0] * 1)
         fill_queue(wc, 2, [0] * 2)
-        assert baseline.choose_single(lot(0), wc.view(), random.Random(1)) == 1
+        assert baseline.choose_single(lot(0), wc, random.Random(1)) == 1
 
     def test_tie_is_uniform_over_seeds(self):
         wc = make_single_wc(3)
         for i in range(3):
             fill_queue(wc, i, [0] * 2)
-        picks = {baseline.choose_single(lot(0), wc.view(), random.Random(s))
+        picks = {baseline.choose_single(lot(0), wc, random.Random(s))
                  for s in range(60)}
         assert picks == {0, 1, 2}
 
     def test_single_machine(self):
         wc = make_single_wc(1)
-        assert baseline.choose_single(lot(0), wc.view(), random.Random(1)) == 0
+        assert baseline.choose_single(lot(0), wc, random.Random(1)) == 0
 
 
 class TestChooseBatch:
@@ -37,7 +37,7 @@ class TestChooseBatch:
         wc = make_batch_wc(2, bs=4)
         add_batch(wc, 0, lot_type=7, size=2)
         add_batch(wc, 1, lot_type=7, size=3)
-        choice, action = baseline.choose_batch(lot(7), wc.view(), random.Random(1))
+        choice, action = baseline.choose_batch(lot(7), wc, random.Random(1))
         assert (choice, action) == (1, "join")
 
     def test_new_batch_at_shortest_overall_queue(self):
@@ -45,7 +45,7 @@ class TestChooseBatch:
         add_batch(wc, 0, lot_type=1, size=4)
         add_batch(wc, 0, lot_type=2, size=2)
         add_batch(wc, 1, lot_type=3, size=2)
-        choice, action = baseline.choose_batch(lot(7), wc.view(), random.Random(1))
+        choice, action = baseline.choose_batch(lot(7), wc, random.Random(1))
         assert (choice, action) == (1, "new")
 
     def test_tied_partials_uniform(self):
@@ -54,7 +54,7 @@ class TestChooseBatch:
             wc = make_batch_wc(2, bs=4)
             add_batch(wc, 0, lot_type=7, size=3)
             add_batch(wc, 1, lot_type=7, size=3)
-            choice, action = baseline.choose_batch(lot(7), wc.view(), random.Random(s))
+            choice, action = baseline.choose_batch(lot(7), wc, random.Random(s))
             assert action == "join"
             picks.add(choice)
         assert picks == {0, 1}
@@ -64,7 +64,7 @@ class TestChooseBatch:
         wc.machines[0].current_batch = [lot(9) for _ in range(4)]
         wc.machines[0].busy_remaining = 5
         add_batch(wc, 0, lot_type=7, size=3)
-        choice, action = baseline.choose_batch(lot(7), wc.view(), random.Random(1))
+        choice, action = baseline.choose_batch(lot(7), wc, random.Random(1))
         assert (choice, action) == (0, "join")
 
 
@@ -109,7 +109,7 @@ class TestChooseBatchMatchesTheScan:
                 add_batch(wc, i, lot_type, size)
         item = lot(arriving)
         live, scanned = random.Random(seed), random.Random(seed)
-        assert baseline.choose_batch(item, wc.view(), live) == \
+        assert baseline.choose_batch(item, wc, live) == \
             reference_choose_batch(item, wc.queues, bs, scanned)
         assert live.getstate() == scanned.getstate()
 
@@ -121,7 +121,7 @@ class TestTakeSingle:
     def test_head_of_queue(self):
         wc = make_single_wc(1)
         a, b, c = fill_queue(wc, 0, [1, 2, 3])
-        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots == [a, b, c]  # policy only reorders, engine removes
         state = init_run(scenario_of([single_type(rpt=2)], [lots_spec(0, 3, [0])]),
                          BaselinePolicy(), seed=1)
@@ -132,13 +132,13 @@ class TestTakeSingle:
 
     def test_empty_queue(self):
         wc = make_single_wc(1)
-        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots == []
 
     def test_last_lot(self):
         wc = make_single_wc(1)
         (x,) = fill_queue(wc, 0, [1])
-        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots[0] is x
 
 

@@ -10,7 +10,7 @@ from collections import Counter
 
 import pytest
 
-from fabflock import baseline, cli, engine
+from fabflock import baseline, cli, engine, model
 from fabflock.scenario import build_small_fab
 
 
@@ -22,6 +22,15 @@ def test_every_traced_site_is_defined_where_it_is_looked_up(bench_run):
                for name, sites in bench_run.SITES.items()
                for owner, attr in sites if attr not in vars(owner)]
     assert missing == []
+
+
+def test_the_traced_workcenter_names_are_the_class_the_engine_builds():
+    # SITES traces engine.Workcenter.view and the view methods on
+    # model.WorkcenterView; both must be the class init_run instantiates,
+    # or those spans would wrap methods no run calls.
+    assert engine.Workcenter is model.Workcenter is model.WorkcenterView
+    state = engine.init_run(build_small_fab(), cli.make_policy("baseline"), 1)
+    assert all(type(wc) is model.Workcenter for wc in state.workcenters.values())
 
 
 @pytest.mark.parametrize("policy", ["baseline", "flocking"])

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 from fabflock.baseline import BaselinePolicy
-from fabflock.engine import SimState, Workcenter, init_run, run_to_completion
+from fabflock.engine import SimState, init_run, run_to_completion
 from fabflock.metrics import LotRecord, MetricsSummary, RunResult, summarize
-from fabflock.model import Batch, Lot, Machine, MachineKind, MachineType, MultiQueue
+from fabflock.model import Batch, Lot, Machine, MachineKind, MachineType, MultiQueue, Workcenter
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
 
 from support import make_batch_wc

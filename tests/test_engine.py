@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from fabflock import engine
+from fabflock import baseline, engine
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import (
     SimulationAbort,
@@ -212,8 +212,8 @@ class TestOccupancyReads:
 class TestPerLotWork:
     @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
     def test_ticks_call_neither_next_step_nor_view(self, policy_cls, monkeypatch):
-        # Phases 2 and 3 read the recipes and each workcenter's view
-        # directly; both helpers stay for callers outside the tick loop.
+        # Phases 2 and 3 read the recipes and hand each decision its
+        # workcenter directly; both names stay only for the traced benchmark.
         state = init_run(build_small_fab(), policy_cls(), seed=1)
         calls = Counter()
         real_next_step, real_view = engine.next_step, engine.Workcenter.view
@@ -232,13 +232,41 @@ class TestPerLotWork:
             tick(state)
         assert calls == Counter()
 
+    @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
+    def test_every_decision_receives_a_workcenter_of_the_state(self, policy_cls,
+                                                               monkeypatch):
+        # The policy hooks and the batch rule read the very workcenter the
+        # state holds, not a second object over its machines and queues.
+        policy = policy_cls()
+        received = Counter()
+        seen = []
+
+        def recorded(name, real, at):
+            def hook(*args):
+                received[name] += 1
+                seen.append(args[at])
+                return real(*args)
+            return hook
+
+        monkeypatch.setattr(policy, "choose_single",
+                            recorded("choose_single", policy.choose_single, 1))
+        monkeypatch.setattr(policy, "take_single",
+                            recorded("take_single", policy.take_single, 2))
+        monkeypatch.setattr(baseline, "choose_batch",
+                            recorded("choose_batch", baseline.choose_batch, 1))
+        state = init_run(build_small_fab(), policy, seed=1)
+        run_to_completion(state)
+        assert set(received) == {"choose_single", "take_single", "choose_batch"}
+        workcenters = list(state.workcenters.values())
+        assert all(any(wc is held for held in workcenters) for wc in seen)
+
     def test_baseline_run_never_tracks_lot_types(self):
         # The index's lot-type counts and FLSQ marks serve only flocking;
         # a baseline run must never build them.
         state = init_run(build_small_fab(), BaselinePolicy(), seed=1)
         run_to_completion(state)
         for wc in state.workcenters.values():
-            index = wc.view().index
+            index = wc.index
             assert index.type_counts is None and index.changed is None
         audit_state(state)
 
@@ -255,7 +283,7 @@ class TestFinishedRunMemory:
             state = init_run(build_small_fab(), policy_cls(), seed=1)
             run_to_completion(state)
             for wc in state.workcenters.values():
-                index = wc.view().track_lot_types()
+                index = wc.track_lot_types()
                 assert index.buckets == {0: list(range(len(wc.machines)))}
                 assert index.min_len == 0
                 assert index.type_counts == {} and index.partials == {}

@@ -1,5 +1,6 @@
 import random
 import signal
+from contextlib import contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -16,7 +17,7 @@ from fabflock.flocking import (
     reshuffle_flsq,
 )
 from fabflock.metrics import RunResult
-from fabflock.model import Lot, WorkcenterView
+from fabflock.model import Lot, Workcenter
 
 from support import (
     batch_type,
@@ -30,6 +31,22 @@ from support import (
 )
 
 
+@contextmanager
+def returns_within(seconds):
+    """Raise TimeoutError in the block should it run ``seconds`` or longer."""
+
+    def timed_out(signum, frame):
+        raise TimeoutError(f"the call did not return within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestChooseSingle:
     def test_fewest_same_type_then_shortest(self):
         # same-type counts (2, 0, 0), total lengths (3, 4, 2): the two-stage
@@ -38,17 +55,17 @@ class TestChooseSingle:
         fill_queue(wc, 0, [7, 7, 1])
         fill_queue(wc, 1, [1, 2, 1, 2])
         fill_queue(wc, 2, [1, 2])
-        assert flocking.choose_single(lot(7), wc.view(), random.Random(1)) == 2
+        assert flocking.choose_single(lot(7), wc, random.Random(1)) == 2
 
     def test_degenerates_to_shortest_queue_on_equal_counts(self):
         wc = make_single_wc(2)
         fill_queue(wc, 0, [7] + [1] * 4)
         fill_queue(wc, 1, [7] + [1] * 1)
-        assert flocking.choose_single(lot(7), wc.view(), random.Random(1)) == 1
+        assert flocking.choose_single(lot(7), wc, random.Random(1)) == 1
 
     def test_empty_workcenter_uniform(self):
         wc = make_single_wc(3)
-        picks = {flocking.choose_single(lot(7), wc.view(), random.Random(s))
+        picks = {flocking.choose_single(lot(7), wc, random.Random(s))
                  for s in range(60)}
         assert picks == {0, 1, 2}
 
@@ -59,9 +76,8 @@ class TestChooseSingle:
             for i in range(3):
                 fill_queue(wc, i, [rng.randrange(4) for _ in range(rng.randrange(6))])
             probe = lot(rng.randrange(4))
-            view = wc.view()
-            counts = [view.type_count(i, probe.lot_type) for i in range(3)]
-            choice = flocking.choose_single(probe, view, rng)
+            counts = [wc.type_count(i, probe.lot_type) for i in range(3)]
+            choice = flocking.choose_single(probe, wc, rng)
             assert counts[choice] == min(counts)
 
     def test_a_stale_zero_count_raises_instead_of_walking_on(self):
@@ -71,20 +87,22 @@ class TestChooseSingle:
         wc = make_single_wc(2)
         fill_queue(wc, 0, [7])
         fill_queue(wc, 1, [7])
-        view = wc.view()
-        view.track_lot_types().type_counts[7][0] = 0
+        wc.track_lot_types().type_counts[7][0] = 0
+        with returns_within(5), pytest.raises(RuntimeError, match="stale index.type_counts"):
+            flocking.choose_single(lot(7), wc, random.Random(1))
 
-        def timed_out(signum, frame):
-            raise TimeoutError("choose_single did not return")
-
-        previous = signal.signal(signal.SIGALRM, timed_out)
-        signal.alarm(5)
-        try:
-            with pytest.raises(RuntimeError, match="stale index.type_counts"):
-                flocking.choose_single(lot(7), view, random.Random(1))
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
+    @pytest.mark.parametrize("min_len", [2, 1], ids=["no_bucket", "above_a_lower_bucket"])
+    def test_a_stale_min_len_raises_instead_of_walking_on(self, min_len):
+        # Machine 0 queues one lot of type 7, so the buckets are {0: [1],
+        # 1: [0]}. A min_len of 2 is no bucket's length; one of 1 lies above
+        # bucket 0, which holds the only machine without the type, so a walk
+        # upward from it never meets a tie.
+        wc = make_single_wc(2)
+        fill_queue(wc, 0, [7])
+        wc.track_lot_types()
+        wc.index.min_len = min_len
+        with returns_within(5), pytest.raises(RuntimeError, match="stale index.min_len"):
+            flocking.choose_single(lot(7), wc, random.Random(1))
 
 
 class TestFirstSameTypeDistance:
@@ -92,22 +110,22 @@ class TestFirstSameTypeDistance:
         wc = make_single_wc(2)
         set_processing(wc, 1, lot_type=7)
         fill_queue(wc, 1, [7, 7])  # queue content is shadowed by the machine
-        assert first_same_type_distance(7, wc.view(), 1, window_len=5) == 0
+        assert first_same_type_distance(7, wc, 1, window_len=5) == 0
 
     def test_head_counts_as_one(self):
         wc = make_single_wc(2)
         fill_queue(wc, 1, [7, 1])
-        assert first_same_type_distance(7, wc.view(), 1, window_len=5) == 1
+        assert first_same_type_distance(7, wc, 1, window_len=5) == 1
 
     def test_beyond_window_is_absent(self):
         wc = make_single_wc(2)
         fill_queue(wc, 1, [1, 1, 1, 1, 1, 7])  # first match at position 6
-        assert first_same_type_distance(7, wc.view(), 1, window_len=5) is None
+        assert first_same_type_distance(7, wc, 1, window_len=5) is None
 
     def test_no_match_is_absent(self):
         wc = make_single_wc(2)
         fill_queue(wc, 1, [1, 2])
-        assert first_same_type_distance(7, wc.view(), 1, window_len=5) is None
+        assert first_same_type_distance(7, wc, 1, window_len=5) is None
 
 
 class TestComputePull:
@@ -184,38 +202,38 @@ class TestReshuffle:
     def test_neutral_everywhere_is_identity(self):
         wc = make_single_wc(2)
         queued = fill_queue(wc, 0, [1, 2, 3])
-        reshuffle_flsq(wc.queues[0], wc.view(), own_index=0, rng=random.Random(1))
+        reshuffle_flsq(wc.queues[0], wc, own_index=0, rng=random.Random(1))
         assert wc.queues[0].lots == queued
 
     def test_peer_processing_pulls_same_type_to_head(self):
         wc = make_single_wc(2)
         queued = fill_queue(wc, 0, [1, 7, 2])
         set_processing(wc, 1, lot_type=7)
-        reshuffle_flsq(wc.queues[0], wc.view(), own_index=0, rng=random.Random(1))
+        reshuffle_flsq(wc.queues[0], wc, own_index=0, rng=random.Random(1))
         assert wc.queues[0].lots[0] is queued[1]
 
     def test_lots_beyond_window_never_move(self):
         wc = make_single_wc(2)
         queued = fill_queue(wc, 0, [1, 1, 1, 1, 1, 7, 7])
         set_processing(wc, 1, lot_type=7)
-        reshuffle_flsq(wc.queues[0], wc.view(), own_index=0, rng=random.Random(1),
+        reshuffle_flsq(wc.queues[0], wc, own_index=0, rng=random.Random(1),
                        window_len=5)
         assert wc.queues[0].lots[5:] == queued[5:]
 
 
-def same_type_distances(view, own_index, window_len):
+def same_type_distances(wc, own_index, window_len):
     """Lot type -> ``first_same_type_distance`` of every other machine that
     shows the type, in machine order, from one pass over the other machines:
-    the reference for the view's distance index."""
+    the reference for the workcenter's distance index."""
     distances = {}
-    for other in range(len(view)):
+    for other in range(len(wc)):
         if other == own_index:
             continue
-        processing = view.processing_type(other)
+        processing = wc.processing_type(other)
         if processing is not None:
             distances.setdefault(processing, []).append(0)
         seen = {processing}
-        for pos, t in enumerate(view.window_types(other, window_len), start=1):
+        for pos, t in enumerate(wc.window_types(other, window_len), start=1):
             if t not in seen:
                 seen.add(t)
                 distances.setdefault(t, []).append(pos)
@@ -230,7 +248,7 @@ def compute_pull(own_distance, other_distances):
     return pull_from_totals(own_distance, len(other_distances), sum(other_distances))
 
 
-def reference_reshuffle(queue, view, own_index, rng, window_len):
+def reference_reshuffle(queue, wc, own_index, rng, window_len):
     """The per-lot reshuffle: one ``first_same_type_distance`` per (window
     lot, other machine), then moves located by equality (``list.index``)."""
     lots = queue.lots
@@ -240,10 +258,10 @@ def reference_reshuffle(queue, view, own_index, rng, window_len):
     pulls = {}
     for pos, item in enumerate(lots[:w], start=1):
         distances = []
-        for other in range(len(view)):
+        for other in range(len(wc)):
             if other == own_index:
                 continue
-            d = first_same_type_distance(item.lot_type, view, other, window_len)
+            d = first_same_type_distance(item.lot_type, wc, other, window_len)
             if d is not None:
                 distances.append(d)
         pulls[item.id] = compute_pull(pos, distances)
@@ -292,22 +310,21 @@ class TestOnePassReshuffle:
     def test_matches_the_per_lot_reference(self, case):
         queues, processing, own, window, seed = case
         wc = _build(queues, processing)
-        view = wc.view()
-        distances = same_type_distances(view, own, window)
+        distances = same_type_distances(wc, own, window)
         for lot_type in range(N_TYPES + 1):  # N_TYPES is queued nowhere
-            expected = [d for other in range(len(view)) if other != own
-                        and (d := first_same_type_distance(lot_type, view, other,
+            expected = [d for other in range(len(wc)) if other != own
+                        and (d := first_same_type_distance(lot_type, wc, other,
                                                            window)) is not None]
             assert distances.get(lot_type, []) == expected
 
         queue = wc.queues[own]
         before = list(queue.lots)
         rng = random.Random(seed)
-        reshuffle_flsq(queue, view, own, rng, window)
+        reshuffle_flsq(queue, wc, own, rng, window)
         got = list(queue.lots)
         queue.lots[:] = before
         ref_rng = random.Random(seed)
-        reference_reshuffle(queue, view, own, ref_rng, window)
+        reference_reshuffle(queue, wc, own, ref_rng, window)
         assert all(a is b for a, b in zip(got, queue.lots))
         assert rng.getstate() == ref_rng.getstate()
 
@@ -315,12 +332,11 @@ class TestOnePassReshuffle:
 def _check_index_against_reference(wc, window):
     """The index's maps equal ``first_same_type_distance``, and its (count,
     total) less each own machine's entry equal ``same_type_distances``."""
-    view = wc.view()
-    maps, counts, sums = view.distance_index(window)
-    for own in range(len(view)):
+    maps, counts, sums = wc.distance_index(window)
+    for own in range(len(wc)):
         assert maps[own] == {t: d for t in range(N_TYPES) if (
-            d := first_same_type_distance(t, view, own, window)) is not None}
-        reference = same_type_distances(view, own, window)
+            d := first_same_type_distance(t, wc, own, window)) is not None}
+        reference = same_type_distances(wc, own, window)
         for t in range(N_TYPES + 1):
             ds = reference.get(t, [])
             own_d = maps[own].get(t)
@@ -351,7 +367,6 @@ class TestDistanceIndex:
     @example([("fill", 0, [1, 2, 1]), ("pop", 0), ("start", 0, 2)], 5)
     def test_stays_equal_to_the_reference_under_any_interleaving(self, steps, window):
         wc = make_single_wc(_M)
-        view = wc.view()
         _check_index_against_reference(wc, window)
         for step in steps:
             op, arg = step[0], step[1:]
@@ -366,9 +381,9 @@ class TestDistanceIndex:
                 queue = wc.queues[i]
                 expected = SimpleNamespace(lots=list(queue.lots))
                 ref_rng = random.Random(seed)
-                reference_reshuffle(expected, view, i, ref_rng, window)
+                reference_reshuffle(expected, wc, i, ref_rng, window)
                 rng = random.Random(seed)
-                reshuffle_flsq(queue, view, i, rng, window)
+                reshuffle_flsq(queue, wc, i, rng, window)
                 assert all(a is b for a, b in zip(queue.lots, expected.lots))
                 assert rng.getstate() == ref_rng.getstate()
             elif op == "start" and not wc.machines[arg[0]].current_batch:
@@ -389,8 +404,7 @@ class TestDistanceIndex:
         for i in range(m):
             fill_queue(wc, i, [(i + k) % 3 for k in range(7)])
         set_processing(wc, 1, 0)
-        view = wc.view()
-        reshuffle_flsq(wc.queues[0], view, 0, random.Random(1))
+        reshuffle_flsq(wc.queues[0], wc, 0, random.Random(1))
         wc.queues[0].pop_head()
         fill_queue(wc, 3, [1])
         set_processing(wc, 5, 2)
@@ -403,41 +417,41 @@ class TestDistanceIndex:
             return real_machine_distances(machine, queue, window_len)
 
         def reads(*args):
-            raise AssertionError("a take read a machine through the view")
+            raise AssertionError("a take read a machine through the workcenter")
 
         monkeypatch.setattr(model, "machine_distances", machine_distances)
-        monkeypatch.setattr(WorkcenterView, "window_types", reads)
-        monkeypatch.setattr(WorkcenterView, "processing_type", reads)
-        reshuffle_flsq(wc.queues[2], view, 2, random.Random(1))
+        monkeypatch.setattr(Workcenter, "window_types", reads)
+        monkeypatch.setattr(Workcenter, "processing_type", reads)
+        reshuffle_flsq(wc.queues[2], wc, 2, random.Random(1))
         assert sorted(derived) == [0, 3, 5]
         derived.clear()
-        reshuffle_flsq(wc.queues[2], view, 2, random.Random(1), window_len=4)
+        reshuffle_flsq(wc.queues[2], wc, 2, random.Random(1), window_len=4)
         assert sorted(derived) == list(range(m))  # another window rebuilds all
 
 
 class TestTakeSingle:
     def test_empty_queue(self):
         wc = make_single_wc(2)
-        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        flocking.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots == []
 
     def test_single_lot(self):
         wc = make_single_wc(2)
         (x,) = fill_queue(wc, 0, [4])
-        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        flocking.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots[0] is x
 
     def test_same_type_peer_promotes_lot(self):
         wc = make_single_wc(2)
         queued = fill_queue(wc, 0, [1, 7, 2])
         set_processing(wc, 1, lot_type=7)
-        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        flocking.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots[0] is queued[1]
 
     def test_single_machine_workcenter_is_fifo(self):
         wc = make_single_wc(1)
         queued = fill_queue(wc, 0, [1, 7, 1, 7])
-        flocking.take_single(wc.machines[0], wc.queues[0], wc.view(), random.Random(1))
+        flocking.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
         assert wc.queues[0].lots[0] is queued[0]
         assert wc.queues[0].lots == queued
 

@@ -13,7 +13,7 @@ from fabflock.model import (
     MachineKind,
     MachineType,
     MultiQueue,
-    WorkcenterView,
+    Workcenter,
     next_step,
 )
 from fabflock.scenario import build_small_fab
@@ -62,22 +62,16 @@ class TestQueueStartsEmpty:
     def test_constructor_takes_no_lots_or_batches(self):
         wc = make_single_wc(1)
         with pytest.raises(TypeError):
-            MultiQueue(owner=wc.machines[0], lots=[Lot(0, 3), Lot(1, 3)])
+            MultiQueue(owner=wc.machines[0], index=wc.index, lots=[Lot(0, 3), Lot(1, 3)])
+        wc = make_batch_wc(1)
         with pytest.raises(TypeError):
-            MultiQueue(owner=make_batch_wc(1).machines[0], batches=[Batch(3, [Lot(0, 3)])])
+            MultiQueue(owner=wc.machines[0], index=wc.index, batches=[Batch(3, [Lot(0, 3)])])
 
     def test_counts_agree_for_lots_added_one_by_one(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [3, 3])
-        assert wc.view().track_lot_types().type_counts == {3: {0: 2}}
+        assert wc.track_lot_types().type_counts == {3: {0: 2}}
         assert [q.size for q in wc.queues] == [2]
-
-    def test_a_view_adopts_only_empty_queues(self):
-        # A second view over filled queues would start its index from empty.
-        wc = make_single_wc(2)
-        fill_queue(wc, 1, [3])
-        with pytest.raises(ValueError, match="empty queues"):
-            WorkcenterView(wc.mtype, wc.machines, wc.queues)
 
 
 class TestMultiQueueAddBatch:
@@ -181,23 +175,20 @@ class TestWorkcenterView:
         wanted = add_batch(wc, 0, lot_type=1, size=2)
         add_batch(wc, 0, lot_type=1, size=4)  # full
         add_batch(wc, 1, lot_type=2, size=3)  # other type
-        view = wc.view()
-        assert view.partial_batches(1) == [(0, wanted)]
+        assert wc.partial_batches(1) == [(0, wanted)]
 
     def test_type_count_and_window(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [3, 1, 3, 2, 3, 3])
-        view = wc.view()
-        assert view.type_count(0, 3) == 4
-        assert view.window_types(0, 4) == [3, 1, 3, 2]
+        assert wc.type_count(0, 3) == 4
+        assert wc.window_types(0, 4) == [3, 1, 3, 2]
 
     def test_processing_type(self):
         wc = make_single_wc(2)
         wc.machines[0].current_batch = [lot(9)]
         wc.machines[0].busy_remaining = 2
-        view = wc.view()
-        assert view.processing_type(0) == 9
-        assert view.processing_type(1) is None
+        assert wc.processing_type(0) == 9
+        assert wc.processing_type(1) is None
 
 
 # Reference: the scanning reads the queue counters replaced, kept to check them.
@@ -270,8 +261,7 @@ class TestQueueCountersMatchRecount:
         bs = 3
         n = N_MACHINES
         wc = make_batch_wc(n, bs=bs) if batching else make_single_wc(n)
-        view = wc.view()
-        view.track_lot_types()
+        wc.track_lot_types()
         model = [[] for _ in range(n)]  # per machine: lot ids, or (lot type, lot ids) pairs
         for op, i, lot_type, size, pick, arriving in ops:
             queue = wc.queues[i]
@@ -306,16 +296,16 @@ class TestQueueCountersMatchRecount:
                 assert q.total_len() == reference_total_len(q)
                 assert q.is_empty() == (reference_total_len(q) == 0)
                 assert q.has_full_batch() == reference_has_full_batch(q)
-            assert view.index.type_counts == recount_type_counts(wc)
+            assert wc.index.type_counts == recount_type_counts(wc)
             assert [q.size for q in wc.queues] == [reference_total_len(q) for q in wc.queues]
             item = lot(arriving)
             for rule, reference in ((baseline.choose_single, reference_shortest_queue),
                                     (flocking.choose_single, reference_separation)):
                 live, scanned = random.Random(pick), random.Random(pick)
-                assert rule(item, view, live) == reference(item, wc.queues, scanned)
+                assert rule(item, wc, live) == reference(item, wc.queues, scanned)
                 assert live.getstate() == scanned.getstate()
             for t in range(N_TYPES):
-                got = view.partial_batches(t)
+                got = wc.partial_batches(t)
                 want = reference_partial_batches(wc.queues, t, bs)
                 assert [i for i, _ in got] == [i for i, _ in want]
                 assert all(a is b for (_, a), (_, b) in zip(got, want))
@@ -337,14 +327,13 @@ class TestSeparationFallback:
     def test_equals_the_scan_when_every_machine_queues_the_type(self, case):
         queues, track_first, seed = case
         wc = make_single_wc(len(queues))
-        view = wc.view()
         if track_first:
-            view.track_lot_types()
+            wc.track_lot_types()
         for i, types in enumerate(queues):
             fill_queue(wc, i, types)
         item = lot(0)
         live, scanned = random.Random(seed), random.Random(seed)
-        assert flocking.choose_single(item, view, live) == \
+        assert flocking.choose_single(item, wc, live) == \
             reference_separation(item, wc.queues, scanned)
         assert live.getstate() == scanned.getstate()
 
@@ -369,7 +358,6 @@ class TestLotTypeTracking:
     @given(_single_ops, _single_ops, st.integers(0, N_TYPES), st.integers(0, 99))
     def test_tracking_started_late_equals_a_recount(self, before, after, arriving, seed):
         wc = make_single_wc(N_MACHINES)
-        view = wc.view()
 
         def apply(ops):
             """Run the ops; returns the machines whose queue a mutator changed."""
@@ -391,15 +379,15 @@ class TestLotTypeTracking:
                 [sum(l.lot_type == arriving for l in q.lots) for q in wc.queues]
 
         apply(before)
-        index = view.index
+        index = wc.index
         assert index.type_counts is None and index.changed is None
         # Separation starts tracking on first use and still equals the scan.
         live, scanned = random.Random(seed), random.Random(seed)
         item = lot(arriving)
-        assert flocking.choose_single(item, view, live) == \
+        assert flocking.choose_single(item, wc, live) == \
             reference_separation(item, wc.queues, scanned)
         assert live.getstate() == scanned.getstate()
-        assert view.track_lot_types() is index
+        assert wc.track_lot_types() is index
         assert index.changed == set(range(N_MACHINES))
         assert_counts_equal_a_recount()
         # From then on the mutators keep the counts and mark what they touch.
@@ -414,28 +402,27 @@ class TestDispatchReads:
         # when every machine already queues the lot's type: no rule lists
         # every machine.
         calls = Counter()
-        real = WorkcenterView.type_count
+        real = Workcenter.type_count
 
         def counted(self, *args):
             calls["type_count"] += 1
             return real(self, *args)
 
-        monkeypatch.setattr(WorkcenterView, "type_count", counted)
+        monkeypatch.setattr(Workcenter, "type_count", counted)
         n = 50
         wc = make_single_wc(n)
-        view = wc.view()
         rng = random.Random(3)
         for i in range(n - 1):
             fill_queue(wc, i, [0] + [rng.randrange(1, 4) for _ in range(rng.randrange(3))])
         for t in range(5):  # type 0 queued by all but one machine, type 4 by none
-            assert baseline.choose_single(lot(t), view, rng) == n - 1
-            flocking.choose_single(lot(t), view, rng)
+            assert baseline.choose_single(lot(t), wc, rng) == n - 1
+            flocking.choose_single(lot(t), wc, rng)
         assert calls == Counter()
 
         for i in range(n):
-            if i not in view.index.type_counts[0]:
+            if i not in wc.index.type_counts[0]:
                 fill_queue(wc, i, [0])
-        assert len(view.index.type_counts[0]) == n  # the fallback's case
-        baseline.choose_single(lot(0), view, rng)
-        flocking.choose_single(lot(0), view, rng)
+        assert len(wc.index.type_counts[0]) == n  # the fallback's case
+        baseline.choose_single(lot(0), wc, rng)
+        flocking.choose_single(lot(0), wc, rng)
         assert calls == Counter()

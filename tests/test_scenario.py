@@ -228,7 +228,7 @@ _texts = st.one_of(st.text(), st.lists(_lines, max_size=10).map(
 @st.composite
 def _valid_scenarios(draw):
     """Scenarios ``Scenario.validate`` accepts, up to the ``MAX_*`` limits."""
-    tick_hours = draw(st.floats(1e-6, 1e3))
+    tick_hours = draw(st.floats(1e-6, 1e3) | st.integers(1, 2**53))
     machine_types = []
     ids = draw(st.lists(st.integers(-10, 10 ** 6), min_size=1, max_size=4, unique=True))
     for mid in ids:
@@ -303,6 +303,16 @@ class TestValidateRejectsWhatTheFileCannotHold:
         fab = build_small_fab()
         sc = Scenario(fab.name, tick_hours, fab.machine_types, fab.lot_specs)
         with pytest.raises(ScenarioError, match="finite number of hours"):
+            sc.validate()
+
+    @pytest.mark.parametrize("tick_hours", [10**300, 2**53 + 1],
+                             ids=["int_10_pow_300", "int_2_pow_53_plus_1"])
+    def test_an_int_tick_hours_must_equal_its_float(self, tick_hours):
+        # The file holds tick_hours as a float, so such an int would parse
+        # back as another scenario.
+        fab = build_small_fab()
+        sc = Scenario(fab.name, tick_hours, fab.machine_types, fab.lot_specs)
+        with pytest.raises(ScenarioError, match="no float equals"):
             sc.validate()
 
     def test_a_duration_rounding_up_past_the_float_range_is_rejected(self):
