@@ -49,8 +49,8 @@ def shuffle(items: list, rng: random.Random) -> None:
 def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     """Machine with the shortest queue; ties uniform. The index's lowest
     bucket lists exactly those machines, in machine order."""
-    index = wc.index
-    return pick_uniform(index.buckets[index.min_len], rng)
+    buckets = wc.index.buckets
+    return pick_uniform(buckets[min(buckets)], rng)
 
 
 def choose_batch(lot: Lot, wc: Workcenter, rng: random.Random) -> tuple[int, str]:

@@ -275,11 +275,11 @@ def audit_state(state: SimState) -> None:
     exactly when its queue is nonempty, and once a tick has run it holds no
     full batch. Every workcenter's ``QueueIndex`` must equal one recount of
     each table: each length bucket the machines with that queue size in
-    machine order, ``min_len`` the lowest size, and ``partials`` every
-    queue's partial batches, at most one per queue and type. A workcenter
-    tracking lot types must have ``type_counts`` equal the queued lots per
-    type and machine; an untracked one must hold no lot-type state at all
-    (no counts, marks or distance index). Equality with a recount rules out
+    machine order, and ``partials`` every queue's partial batches, at most
+    one per queue and type. A workcenter tracking lot types must have
+    ``type_counts`` equal the queued lots per type and machine; an
+    untracked one must hold no lot-type state at all (no counts, marks or
+    distance index). Equality with a recount rules out
     empty buckets, empty inner tables and zero counts. Where a workcenter
     has built its same-type distance index, checks it without changing it:
     every machine not in ``index.changed`` holds the
@@ -291,7 +291,7 @@ def audit_state(state: SimState) -> None:
     for wc in state.workcenters.values():
         bs = wc.mtype.batch_size
         for m, q in zip(wc.machines, wc.queues):
-            if m.is_busy:
+            if m.current_batch:
                 assert m.busy_remaining >= 1, f"{m.label}: busy without remaining time"
                 assert 1 <= len(m.current_batch) <= bs, f"{m.label}: batch size out of bounds"
                 assert len({l.lot_type for l in m.current_batch}) == 1, \
@@ -306,7 +306,7 @@ def audit_state(state: SimState) -> None:
                 seen.extend(l.id for l in q.lots)
             else:
                 assert not q.lots, f"{m.label}: batch queue holds loose lots"
-                if not m.is_busy:
+                if not m.current_batch:
                     assert (m.wt_armed_at is not None) == bool(q.size), \
                         f"{m.label}: idle, waiting timer armed iff queue nonempty"
                     assert m.wt_armed_at is None or m.wt_armed_at <= state.clock, \
@@ -343,7 +343,6 @@ def _audit_queue_index(wc: Workcenter) -> None:
             held = counts.setdefault(lot.lot_type, {})
             held[i] = held.get(i, 0) + 1
     assert index.buckets == buckets, f"{name}: stale queue-length buckets"
-    assert index.min_len == min(buckets), f"{name}: stale shortest queue length"
     assert index.partials == partials, f"{name}: stale partial-batch table"
     if index.type_counts is None:
         assert index.changed is None and wc.dist_window is None, \

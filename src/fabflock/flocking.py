@@ -73,9 +73,8 @@ def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     missing from it, and otherwise the least count in it. The first call at
     a workcenter starts its lot-type tracking.
 
-    The walk ends after the longest bucket. An index that disagrees with the
-    queues raises RuntimeError: a ``min_len`` that is no bucket's length, or
-    a stale ``min_len`` or ``type_counts`` that leaves the walk without a tie.
+    The walk ends after the longest bucket. A stale ``type_counts`` that
+    leaves the walk without a tie raises RuntimeError.
     """
     index = wc.index
     counts = index.type_counts
@@ -84,9 +83,7 @@ def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     held = counts.get(lot.lot_type, {})
     least = 0 if len(held) < len(wc) else min(held.values())
     buckets = index.buckets
-    n = index.min_len
-    if n not in buckets:
-        raise RuntimeError(f"workcenter {wc.mtype.id}: stale index.min_len {n}")
+    n = min(buckets)
     top = max(buckets)
     while n <= top:
         bucket = buckets.get(n)
@@ -98,10 +95,9 @@ def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
             if ties:
                 return pick_uniform(ties, rng)
         n += 1
-    stale = "min_len" if min(buckets) < index.min_len else "type_counts"
     raise RuntimeError(
-        f"workcenter {wc.mtype.id}: stale index.{stale}, no machine at or above "
-        f"length {index.min_len} queues {least} lots of type {lot.lot_type}")
+        f"workcenter {wc.mtype.id}: stale index.type_counts, no machine "
+        f"queues {least} lots of type {lot.lot_type}")
 
 
 def first_same_type_distance(lot_type: int, wc: Workcenter,

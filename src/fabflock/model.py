@@ -153,10 +153,6 @@ class Machine:
         self.start_count = 0
 
     @property
-    def is_busy(self) -> bool:
-        return bool(self.current_batch)
-
-    @property
     def label(self) -> str:
         return f"m{self.mtype.id}.{self.index}"
 
@@ -167,12 +163,12 @@ class QueueIndex:
     here once; the queues keep no copy of it.
 
     ``buckets`` maps each queue length some machine has to the indices of
-    the machines with that length, ascending, and ``min_len`` is the lowest
-    such length. ``partials`` maps each lot type with a partial batch to
-    ``{machine index: that batch}`` over the batch machines holding one; a
-    queue holds at most one partial batch per type, so every queued batch
-    not in the table is full. A bucket or inner table is deleted when its
-    last machine leaves it, so none is ever empty.
+    the machines with that length, ascending, so the shortest queues are
+    ``buckets[min(buckets)]``. ``partials`` maps each lot type with a
+    partial batch to ``{machine index: that batch}`` over the batch machines
+    holding one; a queue holds at most one partial batch per type, so every
+    queued batch not in the table is full. A bucket or inner table is
+    deleted when its last machine leaves it, so none is ever empty.
 
     The lot-type state is tracked only once a reader asks for it
     (``Workcenter.track_lot_types``); until then ``type_counts`` and
@@ -188,19 +184,18 @@ class QueueIndex:
     reference counting alone.
     """
 
-    __slots__ = ("buckets", "min_len", "type_counts", "partials", "changed")
+    __slots__ = ("buckets", "type_counts", "partials", "changed")
 
     def __init__(self, machine_count: int):
         self.buckets: dict[int, list[int]] = {0: list(range(machine_count))}
-        self.min_len = 0
         self.type_counts: dict[int, dict[int, int]] | None = None
         self.partials: dict[int, dict[int, Batch]] = {}
         self.changed: set[int] | None = None
 
     def move(self, i: int, old: int, new: int) -> None:
-        """Move machine ``i`` from the bucket of length ``old`` to ``new``,
-        keeping ``min_len``. Every queue mutator moves its owner through
-        here, whether one lot or a whole batch changes the length."""
+        """Move machine ``i`` from the bucket of length ``old`` to ``new``.
+        Every queue mutator moves its owner through here, whether one lot
+        or a whole batch changes the length."""
         buckets = self.buckets
         bucket = buckets[old]
         if len(bucket) == 1:
@@ -212,10 +207,6 @@ class QueueIndex:
             buckets[new] = [i]
         else:
             insort(bucket, i)
-        if new < self.min_len:
-            self.min_len = new
-        elif old == self.min_len and old not in buckets:
-            self.min_len = min(buckets)
 
     def drop_partial(self, lot_type: int, i: int) -> None:
         owners = self.partials[lot_type]
@@ -366,8 +357,8 @@ class Workcenter:
 
     ``index`` is the workcenter's ``QueueIndex``, which every queue keeps
     current. It answers the dispatch rules' questions without visiting the
-    machines: the shortest queues are ``index.buckets[index.min_len]``, the
-    machines queueing a lot type and how many lots of it each queues are
+    machines: the shortest queues are ``index.buckets[min(index.buckets)]``,
+    the machines queueing a lot type and how many lots of it each queues are
     ``index.type_counts``, and the partial batches of a type are
     ``index.partials``. Queue lengths are read per machine (``queue_len``)
     or from the buckets.

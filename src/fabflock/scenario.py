@@ -10,8 +10,9 @@ File format (UTF-8, ``#`` starts a comment, blank lines ignored):
 Durations are given in hours and must convert to whole ticks under
 ``tick_hours``; everything downstream runs on integer ticks. Durations,
 machine and lot counts and the total work content are capped by the
-``MAX_*`` limits below; a file beyond one is rejected with its line number,
-and ``Scenario.validate`` rejects a scenario built in code beyond one.
+``MAX_*`` limits below. ``parse_scenario`` checks each line's syntax, and
+``Scenario.validate`` every rule on the records, of a file and of a scenario
+built in code alike; an error about a record of a file names its line.
 """
 
 from __future__ import annotations
@@ -24,7 +25,12 @@ from .model import ConfigError, MachineKind, MachineType, Recipe, Record, _set
 
 class ScenarioError(ConfigError):
     """Scenario file or definition rejected; messages about a file carry
-    line numbers."""
+    line numbers. ``record`` is the position in ``machine_types +
+    lot_specs`` of the record ``Scenario.validate`` found at fault, if any."""
+
+    def __init__(self, message: str, record: int | None = None):
+        super().__init__(message)
+        self.record = record
 
 
 # Size limits on a scenario. They bound the machines and lots a run holds in
@@ -94,15 +100,18 @@ class Scenario(Record):
 
     def validate(self) -> None:
         """Raise ScenarioError on an inconsistent scenario or one beyond a
-        ``MAX_*`` limit; the parser reports the same limits by line.
+        ``MAX_*`` limit, naming the first record at fault in its ``record``.
 
         The name must be one ``serialize_scenario`` writes back unchanged:
         a nonempty string without ``#``, whose words are separated by single
         spaces. ``tick_hours`` must be a positive, finite ``int`` or
         ``float`` (a ``bool`` is rejected), an ``int`` one equal to its
-        ``float`` so that it parses back equal, and every duration times
-        ``tick_hours`` a finite float, also as ``serialize_scenario`` writes
-        it. Lot type ids, counts and recipe steps must be ``int``s.
+        ``float`` so that it parses back equal. Then the machine types and
+        the lot specs are visited in order. Ids must be unique, and every
+        duration times ``tick_hours`` a finite float, also as
+        ``serialize_scenario`` writes it. Lot type ids, counts and recipe
+        steps must be ``int``s, counts at least 0, and recipes nonempty and
+        of known machine types. The ``MAX_*`` totals are summed on the way.
         """
         name = self.name
         if not isinstance(name, str) or not name or "#" in name \
@@ -115,47 +124,56 @@ class Scenario(Record):
             raise ScenarioError(f"tick_hours must be a positive finite number, got {tick_hours!r}")
         if not self.machine_types:
             raise ScenarioError("at least one machine type is required")
-        ids = [mt.id for mt in self.machine_types]
-        if len(ids) != len(set(ids)):
-            raise ScenarioError("duplicate machine type ids")
-        known = set(ids)
-        seen = set()
-        for ls in self.lot_specs:
-            if type(ls.id) is not int or type(ls.count) is not int:
-                raise ScenarioError(f"lot type {ls.id!r}: id and count must be ints")
-            if ls.id in seen:
-                raise ScenarioError(f"duplicate lot type {ls.id}")
-            seen.add(ls.id)
-            if ls.count < 0:
-                raise ScenarioError(f"lot type {ls.id}: count must be >= 0")
-            if not ls.recipe:
-                raise ScenarioError(f"lot type {ls.id}: recipe must not be empty")
-            for step in ls.recipe:
-                if type(step) is not int:
-                    raise ScenarioError(f"lot type {ls.id}: recipe step {step!r} is not an int")
-                if step not in known:
-                    raise ScenarioError(
-                        f"lot type {ls.id}: recipe references unknown machine type {step}")
-        for mt in self.machine_types:
+        rpt: dict[int, int] = {}
+        machines = 0
+        for pos, mt in enumerate(self.machine_types):
+            if mt.id in rpt:
+                raise ScenarioError(f"duplicate machine type {mt.id}", pos)
+            rpt[mt.id] = mt.raw_process_ticks
             longest = max(mt.raw_process_ticks, mt.wt_ticks)
             if longest > MAX_STEP_TICKS:
                 raise ScenarioError(
-                    f"machine type {mt.id}: a duration exceeds {MAX_STEP_TICKS} ticks")
+                    f"machine type {mt.id}: a duration exceeds {MAX_STEP_TICKS} ticks", pos)
             hours = longest * tick_hours
             if not (hours <= sys.float_info.max and math.isfinite(float(_hours_text(hours)))):
                 raise ScenarioError(
                     f"machine type {mt.id}: {longest} ticks of {tick_hours!r} h is not "
-                    "a finite number of hours")
+                    "a finite number of hours", pos)
+            machines += mt.machine_count
+            if machines > MAX_MACHINES:
+                raise ScenarioError(
+                    f"machine type {mt.id}: more than {MAX_MACHINES} machines in all", pos)
         if type(tick_hours) is int and float(tick_hours) != tick_hours:
             raise ScenarioError(f"tick_hours {tick_hours!r} is an int no float equals, "
                                 "so the file cannot hold it")
-        if self.total_machines() > MAX_MACHINES:
-            raise ScenarioError(f"more than {MAX_MACHINES} machines")
-        if self.total_lots() > MAX_LOTS:
-            raise ScenarioError(f"more than {MAX_LOTS} lots")
-        rpt = self.rpt_by_type()
-        if sum(ls.count * rpt[ls.id] for ls in self.lot_specs) > MAX_WORK_TICKS:
-            raise ScenarioError(f"total work content exceeds {MAX_WORK_TICKS} ticks")
+        seen = set()
+        lots = work = 0
+        for pos, ls in enumerate(self.lot_specs, start=len(self.machine_types)):
+            if type(ls.id) is not int or type(ls.count) is not int:
+                raise ScenarioError(f"lot type {ls.id!r}: id and count must be ints", pos)
+            if ls.id in seen:
+                raise ScenarioError(f"duplicate lot type {ls.id}", pos)
+            seen.add(ls.id)
+            if ls.count < 0:
+                raise ScenarioError(f"lot type {ls.id}: count must be >= 0", pos)
+            if not ls.recipe:
+                raise ScenarioError(f"lot type {ls.id}: recipe must not be empty", pos)
+            per_lot = 0
+            for step in ls.recipe:
+                if type(step) is not int:
+                    raise ScenarioError(
+                        f"lot type {ls.id}: recipe step {step!r} is not an int", pos)
+                if step not in rpt:
+                    raise ScenarioError(
+                        f"lot type {ls.id}: recipe references unknown machine type {step}", pos)
+                per_lot += rpt[step]
+            lots += ls.count
+            if lots > MAX_LOTS:
+                raise ScenarioError(f"lot type {ls.id}: more than {MAX_LOTS} lots in all", pos)
+            work += ls.count * per_lot
+            if work > MAX_WORK_TICKS:
+                raise ScenarioError(
+                    f"lot type {ls.id}: total work content exceeds {MAX_WORK_TICKS} ticks", pos)
 
 
 def hours_to_ticks(hours: float, tick_hours: float) -> int:
@@ -175,7 +193,17 @@ def hours_to_ticks(hours: float, tick_hours: float) -> int:
 
 
 def parse_scenario(text: str) -> Scenario:
-    """Parse and validate a scenario file; raises ScenarioError on bad input."""
+    """Parse and validate a scenario file; raises ScenarioError on bad input.
+
+    The parser checks each line's tokens, numbers and whole-tick durations,
+    the ``MachineType`` constructor's rules, and directives given twice or
+    unknown. ``Scenario.validate`` checks the rest and names the record at
+    fault; its error is re-raised as ``line N: <validate's message>``.
+    Errors come in this order: the ``tick_hours`` lines, the other lines in
+    file order, then validate's rules in record order (machine types before
+    lot types), so of two bad lines the first in the file may not be the
+    one reported.
+    """
     entries: list[tuple[int, list[str]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -198,53 +226,35 @@ def parse_scenario(text: str) -> Scenario:
 
     name = None
     machine_types: list[MachineType] = []
-    machine_ids: set[int] = set()
-    machines = 0
+    lot_specs: list[LotSpec] = []
+    machine_lines: list[int] = []
+    lot_lines: list[int] = []
     for line_no, tok in entries:
         head = tok[0]
-        if head == "tick_hours":
-            continue
-        if head == "scenario":
+        if head == "machinetype":
+            machine_types.append(_parse_machinetype(tok, line_no, tick_hours))
+            machine_lines.append(line_no)
+        elif head == "lottype":
+            lot_specs.append(_parse_lottype(tok, line_no))
+            lot_lines.append(line_no)
+        elif head == "scenario":
             if name is not None:
                 raise ScenarioError(f"line {line_no}: scenario name given twice")
             if len(tok) < 2:
                 raise ScenarioError(f"line {line_no}: scenario needs a name")
             name = " ".join(tok[1:])
-        elif head == "machinetype":
-            mt = _parse_machinetype(tok, line_no, tick_hours)
-            if mt.id in machine_ids:
-                raise ScenarioError(f"line {line_no}: duplicate machine type {mt.id}")
-            machine_ids.add(mt.id)
-            machine_types.append(mt)
-            machines += mt.machine_count
-            if machines > MAX_MACHINES:
-                raise ScenarioError(f"line {line_no}: more than {MAX_MACHINES} machines")
-        elif head != "lottype":
+        elif head != "tick_hours":
             raise ScenarioError(f"line {line_no}: unknown directive {head!r}")
-
-    lot_specs: list[LotSpec] = []
-    lot_ids: set[int] = set()
-    rpt = {mt.id: mt.raw_process_ticks for mt in machine_types}
-    lots = work = 0
-    for line_no, tok in entries:
-        if tok[0] != "lottype":
-            continue
-        ls = _parse_lottype(tok, line_no, machine_ids)
-        if ls.id in lot_ids:
-            raise ScenarioError(f"line {line_no}: duplicate lot type {ls.id}")
-        lot_ids.add(ls.id)
-        lot_specs.append(ls)
-        lots += ls.count
-        if lots > MAX_LOTS:
-            raise ScenarioError(f"line {line_no}: more than {MAX_LOTS} lots")
-        work += ls.count * sum(rpt[m] for m in ls.recipe)
-        if work > MAX_WORK_TICKS:
-            raise ScenarioError(
-                f"line {line_no}: total work content exceeds {MAX_WORK_TICKS} ticks")
 
     scenario = Scenario(name or "unnamed", tick_hours,
                         tuple(machine_types), tuple(lot_specs))
-    scenario.validate()
+    try:
+        scenario.validate()
+    except ScenarioError as exc:
+        if exc.record is None:
+            raise
+        line_no = (machine_lines + lot_lines)[exc.record]
+        raise ScenarioError(f"line {line_no}: {exc}") from None
     return scenario
 
 
@@ -342,19 +352,13 @@ def _parse_machinetype(tok: list[str], line_no: int, tick_hours: float) -> Machi
         raise ScenarioError(f"line {line_no}: {exc}") from None
 
 
-def _parse_lottype(tok: list[str], line_no: int, machine_ids: set[int]) -> LotSpec:
+def _parse_lottype(tok: list[str], line_no: int) -> LotSpec:
     if len(tok) < 6 or tok[2] != "count" or tok[4] != "recipe":
         raise ScenarioError(
             f"line {line_no}: expected 'lottype <t> count <n> recipe <steps...>'")
     lid = _parse_int(tok[1], line_no, "lot type id")
     count = _parse_int(tok[3], line_no, "count")
-    if count < 0:
-        raise ScenarioError(f"line {line_no}: count must be >= 0")
     recipe = tuple(_parse_int(t, line_no, "recipe step") for t in tok[5:])
-    for step in recipe:
-        if step not in machine_ids:
-            raise ScenarioError(
-                f"line {line_no}: recipe references unknown machine type {step}")
     return LotSpec(lid, count, recipe)
 
 

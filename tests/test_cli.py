@@ -224,6 +224,10 @@ class TestExitCodes:
             "tiny_tick.txt": ("tick_hours 1e-300\n"
                               "machinetype 0 kind single count 1 rpt_hours 0.2\n"
                               "lottype 0 count 1 recipe 0\n", "line 2"),
+            # one tick of the largest float: finite, but not as a file writes it
+            "max_hours.txt": ("tick_hours 1.7976931348623157e308\n"
+                              "machinetype 0 kind single count 1 "
+                              "rpt_hours 1.7976931348623157e308\n", "line 2:"),
         }
         for name, (text, where) in hostile.items():
             path = tmp_path / name

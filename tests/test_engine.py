@@ -81,9 +81,9 @@ class TestBatchMachines:
         for _ in range(3):  # ticks 0..2: timer counts down, no start
             tick(state)
             assert not state.finished
-        assert not machine.is_busy
+        assert not machine.current_batch
         tick(state)  # tick 3: timer expired, partial batch starts
-        assert machine.is_busy
+        assert machine.current_batch
 
     def test_timer_re_arms_at_release(self):
         # Hand-computed: the full batch of the first two lots starts at 0 and
@@ -285,7 +285,7 @@ class TestFinishedRunMemory:
             for wc in state.workcenters.values():
                 index = wc.track_lot_types()
                 assert index.buckets == {0: list(range(len(wc.machines)))}
-                assert index.min_len == 0
+                assert min(index.buckets) == 0
                 assert index.type_counts == {} and index.partials == {}
             del state
             assert gc.collect() == 0

@@ -91,19 +91,6 @@ class TestChooseSingle:
         with returns_within(5), pytest.raises(RuntimeError, match="stale index.type_counts"):
             flocking.choose_single(lot(7), wc, random.Random(1))
 
-    @pytest.mark.parametrize("min_len", [2, 1], ids=["no_bucket", "above_a_lower_bucket"])
-    def test_a_stale_min_len_raises_instead_of_walking_on(self, min_len):
-        # Machine 0 queues one lot of type 7, so the buckets are {0: [1],
-        # 1: [0]}. A min_len of 2 is no bucket's length; one of 1 lies above
-        # bucket 0, which holds the only machine without the type, so a walk
-        # upward from it never meets a tie.
-        wc = make_single_wc(2)
-        fill_queue(wc, 0, [7])
-        wc.track_lot_types()
-        wc.index.min_len = min_len
-        with returns_within(5), pytest.raises(RuntimeError, match="stale index.min_len"):
-            flocking.choose_single(lot(7), wc, random.Random(1))
-
 
 class TestFirstSameTypeDistance:
     def test_processing_counts_as_zero(self):

@@ -31,6 +31,18 @@ lottype 0 count 4 recipe 0 1
 lottype 1 count 3 recipe 0 1 0
 """
 
+#: A file's first line declaring ``_single(0)`` at the default tick of 0.1 h.
+_ONE_MACHINE = "machinetype 0 kind single count 1 rpt_hours 0.2\n"
+
+
+def _single(mid, rpt=2, count=1):
+    return MachineType(mid, MachineKind.SINGLE_STEP, rpt, machine_count=count)
+
+
+def _unnamed(machine_types, lot_specs, tick_hours=0.1):
+    """The scenario a file without a ``scenario`` line describes."""
+    return Scenario("unnamed", tick_hours, machine_types, lot_specs)
+
 
 class TestSmallFab:
     def test_machine_park(self):
@@ -208,6 +220,43 @@ class TestParse:
         with pytest.raises(ScenarioError):
             parse_scenario(bad)
 
+    @pytest.mark.parametrize("text, line_no, scenario", [
+        (_ONE_MACHINE + "machinetype 0 kind single count 1 rpt_hours 0.2\n", 2,
+         _unnamed([_single(0), _single(0)], [])),
+        (_ONE_MACHINE + "lottype 0 count 1 recipe 0\nlottype 0 count 1 recipe 0\n", 3,
+         _unnamed([_single(0)], [LotSpec(0, 1, (0,)), LotSpec(0, 1, (0,))])),
+        (_ONE_MACHINE + "lottype 0 count -1 recipe 0\n", 2,
+         _unnamed([_single(0)], [LotSpec(0, -1, (0,))])),
+        (_ONE_MACHINE + "lottype 0 count 1 recipe 0 9\n", 2,
+         _unnamed([_single(0)], [LotSpec(0, 1, (0, 9))])),
+        (f"machinetype 0 kind single count {MAX_MACHINES} rpt_hours 0.2\n"
+         "machinetype 1 kind single count 1 rpt_hours 0.2\n", 2,
+         _unnamed([_single(0, count=MAX_MACHINES), _single(1)], [])),
+        (_ONE_MACHINE + f"lottype 0 count {MAX_LOTS} recipe 0\nlottype 1 count 1 recipe 0\n", 3,
+         _unnamed([_single(0)], [LotSpec(0, MAX_LOTS, (0,)), LotSpec(1, 1, (0,))])),
+        (f"tick_hours 1\nmachinetype 0 kind single count 1 rpt_hours {MAX_STEP_TICKS}\n"
+         f"lottype 0 count {MAX_WORK_TICKS // MAX_STEP_TICKS} recipe 0\n"
+         "lottype 1 count 1 recipe 0\n", 4,
+         _unnamed([_single(0, rpt=MAX_STEP_TICKS)],
+                  [LotSpec(0, MAX_WORK_TICKS // MAX_STEP_TICKS, (0,)), LotSpec(1, 1, (0,))],
+                  tick_hours=1.0)),
+        # One tick of the largest float is finite, but written with 15
+        # significant digits it rounds up to infinity.
+        ("tick_hours 1.7976931348623157e308\n"
+         "machinetype 0 kind single count 1 rpt_hours 1.7976931348623157e308\n", 2,
+         _unnamed([_single(0, rpt=1)], [], tick_hours=sys.float_info.max)),
+    ], ids=["duplicate_machine_type", "duplicate_lot_type", "negative_count",
+            "unknown_recipe_step", "max_machines", "max_lots", "max_work_ticks",
+            "finite_hours"])
+    def test_a_record_rule_has_one_message_prefixed_by_its_line(self, text, line_no, scenario):
+        # The file and the scenario built in code break the same rule at the
+        # same record, so the parser's message is validate's after the line.
+        with pytest.raises(ScenarioError) as in_code:
+            scenario.validate()
+        with pytest.raises(ScenarioError) as in_file:
+            parse_scenario(text)
+        assert str(in_file.value) == f"line {line_no}: {in_code.value}"
+
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# comment\nmachinetype 0 kind single count 1 rpt_hours 0.2  # trailing\n\n"
         sc = parse_scenario(text)
@@ -341,11 +390,15 @@ class TestParseProperties:
     @settings(max_examples=300, deadline=1000)
     @given(_texts)
     def test_any_text_parses_or_raises_scenario_error(self, text):
-        # The deadline bounds the time of every example.
+        # The deadline bounds the time of every example. Every error about
+        # the file's content names a line; only a file without a machine
+        # type fails as a whole.
         try:
             parse_scenario(text)
-        except ScenarioError:
-            pass
+        except ScenarioError as exc:
+            message = str(exc)
+            assert message.startswith("line ") \
+                or message == "at least one machine type is required", message
 
     @settings(max_examples=300, deadline=1000)
     @given(_valid_scenarios())
