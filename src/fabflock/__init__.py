@@ -29,8 +29,6 @@ from .model import (
     MultiQueue,
     Recipe,
     Workcenter,
-    WorkcenterView,
-    next_step,
 )
 from .scenario import (
     LotSpec,
@@ -65,12 +63,10 @@ __all__ = [
     "SimState",
     "SimulationAbort",
     "Workcenter",
-    "WorkcenterView",
     "audit_state",
     "build_small_fab",
     "flow_factor",
     "init_run",
-    "next_step",
     "parse_scenario",
     "pick_uniform",
     "run_to_completion",

@@ -19,9 +19,9 @@ from pathlib import Path
 from typing import TextIO
 
 from .baseline import BaselinePolicy
-from .engine import SimulationAbort, init_run, run_to_completion
+from .engine import DEFAULT_HORIZON_FACTOR, SimulationAbort, init_run, run_to_completion
 from .flocking import DEFAULT_FLSQ_LEN, FlockingPolicy
-from .metrics import MetricsSummary, RunResult, histogram_from_times, summarize
+from .metrics import DEFAULT_HIST_BIN, MetricsSummary, RunResult, histogram_from_times, summarize
 from .model import ConfigError
 from .scenario import Scenario, ScenarioError, build_small_fab, parse_scenario
 
@@ -108,7 +108,7 @@ ComparisonRow = tuple[str, list[float], list[float]]
 
 def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
                    base_seed: int, out_dir, flsq_len: int = DEFAULT_FLSQ_LEN,
-                   hist_bin: int = 10, horizon_factor: int = 100,
+                   hist_bin: int = DEFAULT_HIST_BIN, horizon_factor: int = DEFAULT_HORIZON_FACTOR,
                    table: TextIO | None = None) -> dict[str, list[RunResult]]:
     """Run ``runs`` seeded replications per algorithm and write result CSVs.
 
@@ -216,14 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1,
                         help="base seed, >= 0; replication r uses seed+r (default 1)")
     parser.add_argument("--flsq-len", type=int, default=DEFAULT_FLSQ_LEN,
-                        help="flocking reshuffle window length (default 5)")
-    parser.add_argument("--hist-bin", type=int, default=10,
-                        help="histogram bin width in ticks (default 10)")
+                        help=f"flocking reshuffle window length (default {DEFAULT_FLSQ_LEN})")
+    parser.add_argument("--hist-bin", type=int, default=DEFAULT_HIST_BIN,
+                        help=f"histogram bin width in ticks (default {DEFAULT_HIST_BIN})")
     parser.add_argument("--out", default="./results",
                         help="output directory (default ./results)")
-    parser.add_argument("--horizon-factor", type=int, default=100,
-                        help="livelock guard: abort after this many times the total "
-                             "work content passes without a finish (default 100)")
+    parser.add_argument("--horizon-factor", type=int, default=DEFAULT_HORIZON_FACTOR,
+                        help="livelock guard: abort after this many times the total work "
+                             f"content passes without a finish (default {DEFAULT_HORIZON_FACTOR})")
     return parser
 
 

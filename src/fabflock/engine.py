@@ -75,6 +75,10 @@ from .model import (
 from .scenario import Scenario
 
 
+#: ``run_to_completion``'s livelock horizon, in multiples of the total work content.
+DEFAULT_HORIZON_FACTOR = 100
+
+
 class SimulationAbort(RuntimeError):
     """No lot finished within the livelock horizon."""
 
@@ -85,11 +89,12 @@ Slot = tuple[Workcenter, Machine, MultiQueue]
 
 
 class SimState:
-    """Live state of one run, from tick ``clock`` on. ``finished`` lists the
-    finished lots in finishing order, and ``last_finish_tick`` is the tick
-    the last of them finished at (0 before any). ``slots`` lists every
-    machine in workcenter-id then machine-index order, the order every tick
-    phase visits them in; the constructor builds it once."""
+    """Live state of one run, from tick ``clock`` on. ``lots`` lists every
+    lot in id order and ``finished`` the finished lots in finishing order;
+    ``last_finish_tick`` is the tick the last of them finished at (0 before
+    any). ``slots`` lists every machine in workcenter-id then machine-index
+    order, the order every tick phase visits them in; the constructor builds
+    it once."""
 
     __slots__ = ("scenario", "policy", "seed", "rng", "workcenters", "lots", "recipes",
                  "clock", "finished", "last_finish_tick", "slots")
@@ -229,7 +234,7 @@ def tick(state: SimState) -> SimState:
     return state
 
 
-def run_to_completion(state: SimState, horizon_factor: int = 100) -> RunResult:
+def run_to_completion(state: SimState, horizon_factor: int = DEFAULT_HORIZON_FACTOR) -> RunResult:
     """Tick until every lot finished, then collect the run's results.
 
     Aborts with SimulationAbort when more than horizon_factor x the total raw
@@ -252,14 +257,14 @@ def run_to_completion(state: SimState, horizon_factor: int = 100) -> RunResult:
     records = tuple(
         LotRecord(lot_id=lot.id, lot_type=lot.lot_type, finish_time=lot.finish_time,
                   queue_ticks=lot.total_queue_ticks, rpt_ticks=rpt_by_type[lot.lot_type])
-        for lot in sorted(state.lots, key=lambda l: l.id))
+        for lot in state.lots)
     busy = {m.label: m.start_count * m.mtype.raw_process_ticks
             for _, m, _ in state.slots}
     return RunResult(
         algorithm=state.policy.name,
         seed=state.seed,
-        machine_count=state.scenario.total_machines(),
-        makespan=max((lot.finish_time for lot in state.finished), default=0),
+        machine_count=len(state.slots),
+        makespan=state.last_finish_tick,
         lots=records,
         busy_ticks=busy,
     )

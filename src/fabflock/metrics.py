@@ -72,7 +72,11 @@ def utilization(result: RunResult) -> float:
     return sum(result.busy_ticks.values()) / (result.machine_count * span)
 
 
-def histogram_from_times(times, bin_width: int = 10) -> list[tuple[int, int]]:
+#: Width in ticks of one finish-time histogram bin.
+DEFAULT_HIST_BIN = 10
+
+
+def histogram_from_times(times, bin_width: int = DEFAULT_HIST_BIN) -> list[tuple[int, int]]:
     """(bin start, count) pairs; bin b covers [b*w, (b+1)*w)."""
     if bin_width < 1:
         raise ValueError("bin_width must be >= 1")

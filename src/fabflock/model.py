@@ -167,8 +167,9 @@ class QueueIndex:
     ``buckets[min(buckets)]``. ``partials`` maps each lot type with a
     partial batch to ``{machine index: that batch}`` over the batch machines
     holding one; a queue holds at most one partial batch per type, so every
-    queued batch not in the table is full. A bucket or inner table is
-    deleted when its last machine leaves it, so none is ever empty.
+    queued batch not in the table is full; ``MultiQueue.add_lot``, the only
+    way into a queue, is the one mutator that adds to it. A bucket or inner
+    table is deleted when its last machine leaves it, so none is ever empty.
 
     The lot-type state is tracked only once a reader asks for it
     (``Workcenter.track_lot_types``); until then ``type_counts`` and
@@ -225,11 +226,11 @@ class MultiQueue:
     one ``index.partials`` names for this queue, or opens a new one.
 
     ``size`` is the number of queued lots of either kind. Lots enter only
-    through ``add_lot`` and ``add_batch`` and leave only through ``pop_head``
-    and ``remove_batch``, which keep ``size`` and the workcenter's ``index``
-    current (each moves the owner to its new length bucket through
-    ``index.move``), and reorders inside ``lots`` leave both valid; a queue is
-    therefore built empty, from its owner and that index alone. Queues
+    through ``add_lot``, one at a time, and leave only through ``pop_head``
+    and ``remove_batch``; the three keep ``size`` and the workcenter's
+    ``index`` current (each moves the owner to its new length bucket through
+    ``index.move``), and reorders inside ``lots`` leave both valid. A queue
+    is therefore built empty, from its owner and that index alone. Queues
     compare by identity, as lots, batches and machines do.
 
     ``index`` is the ``QueueIndex`` of the owner's workcenter, the one piece
@@ -278,25 +279,6 @@ class MultiQueue:
             batch.lots.append(lot)
             if len(batch.lots) == self.owner.mtype.batch_size:
                 x.drop_partial(t, i)
-
-    def add_batch(self, batch: Batch) -> None:
-        """Append a whole batch to a batch queue; it must hold 1 to
-        ``batch_size`` lots, and a partial one needs its type to have none."""
-        bs = self.owner.mtype.batch_size
-        if self.owner.mtype.kind is not MachineKind.BATCH:
-            raise ValueError("single-step queues hold no batches")
-        if not 1 <= len(batch.lots) <= bs:
-            raise ValueError(f"a batch holds 1 to {bs} lots, got {len(batch.lots)}")
-        i = self.owner.index
-        if len(batch.lots) < bs:
-            owners = self.index.partials.setdefault(batch.lot_type, {})
-            if i in owners:
-                raise ValueError(f"lot type {batch.lot_type} already has a partial batch")
-            owners[i] = batch
-        self.batches.append(batch)
-        n = self.size
-        self.size = n + len(batch.lots)
-        self.index.move(i, n, self.size)
 
     def pop_head(self) -> Lot:
         lot = self.lots.pop(0)

@@ -76,17 +76,8 @@ class Scenario(Record):
         _set(self, "machine_types", tuple(machine_types))
         _set(self, "lot_specs", tuple(lot_specs))
 
-    def types_by_id(self) -> dict[int, MachineType]:
-        return {mt.id: mt for mt in self.machine_types}
-
     def recipes(self) -> dict[int, Recipe]:
         return {ls.id: ls.recipe for ls in self.lot_specs}
-
-    def total_lots(self) -> int:
-        return sum(ls.count for ls in self.lot_specs)
-
-    def total_machines(self) -> int:
-        return sum(mt.machine_count for mt in self.machine_types)
 
     def rpt_ticks(self, lot_type: int) -> int:
         """Raw process ticks summed over the lot type's whole recipe."""
@@ -94,8 +85,8 @@ class Scenario(Record):
 
     def rpt_by_type(self) -> dict[int, int]:
         """``rpt_ticks`` of every lot type, from one pass over the recipes."""
-        types = self.types_by_id()
-        return {lot_type: sum(types[m].raw_process_ticks for m in recipe)
+        rpt = {mt.id: mt.raw_process_ticks for mt in self.machine_types}
+        return {lot_type: sum(rpt[m] for m in recipe)
                 for lot_type, recipe in self.recipes().items()}
 
     def validate(self) -> None:
@@ -177,19 +168,13 @@ class Scenario(Record):
 
 
 def hours_to_ticks(hours: float, tick_hours: float) -> int:
-    """Convert a duration to ticks, rejecting non-integral results and
-    durations beyond ``MAX_STEP_TICKS``."""
+    """Convert a duration to ticks, rejecting one that is not a whole number
+    of ticks."""
     ticks = hours / tick_hours
-    # Half a tick of slack: a quotient a rounding error above the limit is
-    # still the limit. Checked before rounding, since round(inf) raises.
-    if abs(ticks) > MAX_STEP_TICKS + 0.5:
-        raise ScenarioError(
-            f"{hours} h is more than {MAX_STEP_TICKS} ticks of {tick_hours} h")
-    rounded = round(ticks)
-    if abs(ticks - rounded) > 1e-6:
-        raise ScenarioError(
-            f"{hours} h is not a whole number of {tick_hours} h ticks")
-    return rounded
+    # A huge duration over a tiny tick overflows to inf, on which round() would raise.
+    if not math.isfinite(ticks) or abs(ticks - round(ticks)) > 1e-6:
+        raise ScenarioError(f"{hours} h is not a whole number of {tick_hours} h ticks")
+    return round(ticks)
 
 
 def parse_scenario(text: str) -> Scenario:

@@ -61,9 +61,15 @@ def set_idle(wc: Workcenter, i: int) -> None:
 
 
 def add_batch(wc: Workcenter, i: int, lot_type: int, size: int) -> Batch:
-    batch = Batch(lot_type, [lot(lot_type) for _ in range(size)])
-    wc.queues[i].add_batch(batch)
-    return batch
+    """Queue ``size`` new lots of the type at batch machine i, which must
+    hold no partial batch of the type, and return the batch holding them."""
+    assert 1 <= size <= wc.mtype.batch_size, f"a batch holds 1 to batch_size lots, not {size}"
+    assert i not in wc.index.partials.get(lot_type, {}), \
+        f"machine {i} already holds a partial batch of type {lot_type}"
+    queue = wc.queues[i]
+    for _ in range(size):
+        queue.add_lot(lot(lot_type))
+    return queue.batches[-1]
 
 
 def scenario_of(machine_types, lot_specs, name: str = "test",

@@ -18,10 +18,10 @@ from fabflock.baseline import BaselinePolicy
 from fabflock.engine import audit_state, init_run, run_to_completion, tick
 from fabflock.flocking import FlockingPolicy, first_same_type_distance, pull_from_totals
 from fabflock.metrics import summarize
-from fabflock.model import Batch, Lot, MachineKind, MachineType, Machine, MultiQueue
+from fabflock.model import Lot, MachineKind, MachineType, Machine, MultiQueue
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
 
-from support import fill_queue, lot, make_batch_wc, make_single_wc, set_processing
+from support import add_batch, fill_queue, lot, make_batch_wc, make_single_wc, set_processing
 from support import result_json as _result_json
 
 RUNS = 50
@@ -118,13 +118,14 @@ def _random_batch_queue(rng, bs=4):
     batches = []
     for lot_type in range(4):
         for _ in range(rng.randint(0, 2)):
-            batches.append(Batch(lot_type, [lot(lot_type) for _ in range(bs)]))
+            batches.append([lot(lot_type) for _ in range(bs)])
         if rng.random() < 0.6:
             size = rng.randint(1, bs - 1)
-            batches.append(Batch(lot_type, [lot(lot_type) for _ in range(size)]))
+            batches.append([lot(lot_type) for _ in range(size)])
     rng.shuffle(batches)
-    for batch in batches:
-        queue.add_batch(batch)
+    for lots in batches:
+        for item in lots:
+            queue.add_lot(item)
     return wc.machines[0], queue
 
 
@@ -153,7 +154,7 @@ def test_criterion_5_batch_rules_property_and_tie_uniformity():
     for _ in range(10_000):
         wc = make_batch_wc(1, bs=bs)
         for lot_type in range(3):
-            wc.queues[0].add_batch(Batch(lot_type, [lot(lot_type) for _ in range(2)]))
+            add_batch(wc, 0, lot_type, 2)
         taken = baseline.take_batch(wc.machines[0], wc.queues[0], draw_rng, True)
         counts[taken.lot_type] += 1
     chi = stats.chisquare(list(counts.values()))

@@ -85,9 +85,11 @@ def reference_choose_batch(item, queues, batch_size, rng):
 @st.composite
 def _batch_workcenter(draw):
     """(batch size, per machine a list of (lot type, size) batches with at
-    most one partial per type, arriving lot type, seed). A machine holds a
-    partial batch of type 0 with odds 3 in 4 and of types 1 and 2 with odds
-    1 in 4, so type 0 has several; type 3 is never queued."""
+    most one partial per type, the full ones first, arriving lot type,
+    seed). A machine holds a partial batch of type 0 with odds 3 in 4 and
+    of types 1 and 2 with odds 1 in 4, so type 0 has several; type 3 is
+    never queued. Full batches come first because ``support.add_batch``
+    would top a partial batch of the type up instead of opening a new one."""
     bs = draw(st.integers(2, 6))
     machines = []
     for _ in range(draw(st.integers(1, 8))):
@@ -95,7 +97,7 @@ def _batch_workcenter(draw):
         for t, odds in enumerate((3, 1, 1)):
             if draw(st.integers(0, 3)) < odds:
                 batches.append((t, draw(st.integers(1, bs - 1))))
-        machines.append(draw(st.permutations(batches)))
+        machines.append(sorted(draw(st.permutations(batches)), key=lambda b: b[1] < bs))
     return bs, machines, draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16))
 
 

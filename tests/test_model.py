@@ -74,27 +74,6 @@ class TestQueueStartsEmpty:
         assert [q.size for q in wc.queues] == [2]
 
 
-class TestMultiQueueAddBatch:
-    def test_rejects_single_step_queue(self):
-        wc = make_single_wc(1)
-        with pytest.raises(ValueError, match="single-step"):
-            wc.queues[0].add_batch(Batch(0, [lot(0)]))
-
-    @pytest.mark.parametrize("size", [0, 5])
-    def test_rejects_size_out_of_bounds(self, size):
-        wc = make_batch_wc(1, bs=4)
-        with pytest.raises(ValueError, match="1 to 4 lots"):
-            wc.queues[0].add_batch(Batch(0, [lot(0) for _ in range(size)]))
-
-    def test_rejects_second_partial_of_a_type(self):
-        wc = make_batch_wc(1, bs=4)
-        add_batch(wc, 0, lot_type=2, size=3)
-        add_batch(wc, 0, lot_type=2, size=4)  # full batches may repeat a type
-        with pytest.raises(ValueError, match="already has a partial batch"):
-            add_batch(wc, 0, lot_type=2, size=1)
-        assert wc.queues[0].total_len() == 7
-
-
 class TestMachineTypeValidation:
     def test_single_step_defaults_ok(self):
         MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1)
@@ -168,12 +147,32 @@ class TestMultiQueueAddLot:
         for b in wc.queues[0].batches:
             assert len({x.lot_type for x in b.lots}) == 1
 
+    def test_keeps_one_partial_batch_per_type_within_batch_size(self):
+        wc = make_batch_wc(1, bs=4)
+        queue = wc.queues[0]
+        for n in range(1, 11):
+            queue.add_lot(lot(2))
+            partial = [b for b in queue.batches if len(b.lots) < 4]
+            assert all(1 <= len(b.lots) <= 4 for b in queue.batches)
+            assert len(partial) == (1 if n % 4 else 0)
+            assert wc.index.partials.get(2, {}).get(0) is (partial[0] if partial else None)
+        assert queue.total_len() == 10
+
+    def test_single_step_queue_keeps_lots_not_batches(self):
+        wc = make_single_wc(1)
+        queued = [lot(0), lot(0)]
+        for item in queued:
+            wc.queues[0].add_lot(item)
+        assert wc.queues[0].lots == queued
+        assert wc.queues[0].batches == []
+        assert wc.index.partials.get(0, {}) == {}
+
 
 class TestWorkcenterView:
     def test_partial_batches_excludes_full_and_other_types(self):
         wc = make_batch_wc(2, bs=4)
-        wanted = add_batch(wc, 0, lot_type=1, size=2)
         add_batch(wc, 0, lot_type=1, size=4)  # full
+        wanted = add_batch(wc, 0, lot_type=1, size=2)
         add_batch(wc, 1, lot_type=2, size=3)  # other type
         assert wc.partial_batches(1) == [(0, wanted)]
 
@@ -246,10 +245,9 @@ def reference_add_lot(batches, item, batch_size):
 
 N_TYPES = 3
 N_MACHINES = 3
-_ops = st.lists(st.tuples(st.sampled_from(["lot", "batch", "pop", "remove"]),
+_ops = st.lists(st.tuples(st.sampled_from(["lot", "pop", "remove"]),
                           st.integers(0, N_MACHINES - 1),  # machine
                           st.integers(0, N_TYPES - 1),  # lot type
-                          st.integers(1, 4),            # batch size drawn
                           st.integers(0, 99),           # batch to remove, rng seed
                           st.integers(0, N_TYPES)),     # dispatched type; N_TYPES never queued
                 max_size=60)
@@ -263,7 +261,7 @@ class TestQueueCountersMatchRecount:
         wc = make_batch_wc(n, bs=bs) if batching else make_single_wc(n)
         wc.track_lot_types()
         model = [[] for _ in range(n)]  # per machine: lot ids, or (lot type, lot ids) pairs
-        for op, i, lot_type, size, pick, arriving in ops:
+        for op, i, lot_type, pick, arriving in ops:
             queue = wc.queues[i]
             if op == "lot":
                 item = lot(lot_type)
@@ -272,15 +270,6 @@ class TestQueueCountersMatchRecount:
                     reference_add_lot(model[i], item, bs)
                 else:
                     model[i].append(item.id)
-            elif op == "batch" and batching:
-                batch = Batch(lot_type, [lot(lot_type) for _ in range(size)])
-                clash = size < bs and any(t == lot_type and len(l) < bs for t, l in model[i])
-                if size > bs or clash:
-                    with pytest.raises(ValueError):
-                        queue.add_batch(batch)
-                else:
-                    queue.add_batch(batch)
-                    model[i].append((lot_type, [l.id for l in batch.lots]))
             elif op == "pop" and not batching and model[i]:
                 assert queue.pop_head().id == model[i].pop(0)
             elif op == "remove" and batching and model[i]:

@@ -49,7 +49,7 @@ class TestSmallFab:
         sc = build_small_fab()
         assert [mt.id for mt in sc.machine_types] == [0, 1, 2, 3, 4]
         assert [mt.machine_count for mt in sc.machine_types] == [5, 4, 6, 2, 2]
-        assert sc.total_machines() == 19
+        assert sum(mt.machine_count for mt in sc.machine_types) == 19
         assert [mt.raw_process_ticks for mt in sc.machine_types] == [2, 2, 15, 2, 2]
         kinds = [mt.kind for mt in sc.machine_types]
         assert kinds[2] is MachineKind.BATCH
@@ -63,7 +63,7 @@ class TestSmallFab:
     def test_lot_population(self):
         sc = build_small_fab()
         assert [ls.count for ls in sc.lot_specs] == list(range(6, 16))
-        assert sc.total_lots() == 105
+        assert sum(ls.count for ls in sc.lot_specs) == 105
 
     def test_recipes(self):
         sc = build_small_fab()
@@ -103,7 +103,7 @@ class TestParse:
         assert len(sc.machine_types) == 2
         assert sc.machine_types[1].kind is MachineKind.BATCH
         assert sc.machine_types[1].wt_ticks == 3
-        assert sc.total_lots() == 7
+        assert [ls.count for ls in sc.lot_specs] == [4, 3]
         assert sc.recipes()[1] == (0, 1, 0)
 
     def test_round_trip(self):
@@ -112,7 +112,7 @@ class TestParse:
 
     def test_zero_lots_is_valid(self):
         sc = parse_scenario("machinetype 0 kind single count 1 rpt_hours 0.2\n")
-        assert sc.total_lots() == 0
+        assert sc.lot_specs == ()
 
     def test_non_integral_duration_rejected_with_line(self):
         cases = [("machinetype 0 kind single count 1 rpt_hours 0.25\n", 1)]
@@ -229,6 +229,8 @@ class TestParse:
          _unnamed([_single(0)], [LotSpec(0, -1, (0,))])),
         (_ONE_MACHINE + "lottype 0 count 1 recipe 0 9\n", 2,
          _unnamed([_single(0)], [LotSpec(0, 1, (0, 9))])),
+        (f"tick_hours 1\nmachinetype 0 kind single count 1 rpt_hours {MAX_STEP_TICKS + 1}\n", 2,
+         _unnamed([_single(0, rpt=MAX_STEP_TICKS + 1)], [], tick_hours=1.0)),
         (f"machinetype 0 kind single count {MAX_MACHINES} rpt_hours 0.2\n"
          "machinetype 1 kind single count 1 rpt_hours 0.2\n", 2,
          _unnamed([_single(0, count=MAX_MACHINES), _single(1)], [])),
@@ -246,7 +248,7 @@ class TestParse:
          "machinetype 0 kind single count 1 rpt_hours 1.7976931348623157e308\n", 2,
          _unnamed([_single(0, rpt=1)], [], tick_hours=sys.float_info.max)),
     ], ids=["duplicate_machine_type", "duplicate_lot_type", "negative_count",
-            "unknown_recipe_step", "max_machines", "max_lots", "max_work_ticks",
+            "unknown_recipe_step", "max_step_ticks", "max_machines", "max_lots", "max_work_ticks",
             "finite_hours"])
     def test_a_record_rule_has_one_message_prefixed_by_its_line(self, text, line_no, scenario):
         # The file and the scenario built in code break the same rule at the
