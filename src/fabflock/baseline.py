@@ -61,13 +61,22 @@ def choose_batch(lot: Lot, wc: Workcenter, rng: random.Random) -> tuple[int, str
     workcenter has the same size limit; with none anywhere, opens a new
     batch at the machine with the shortest overall queue. Ties uniform.
     Each machine holds at most one partial batch per type, so the
-    candidates are the type's partial-batch owners, usually none or one.
+    candidates are the type's partial-batch owners in ``index.partials``.
+    One owner is joined without a sort or a draw, as ``pick_uniform`` of
+    one element draws nothing; only two or more are sorted into machine
+    order (``partial_batches``) and ranked. An engine run never has two: a
+    lot opens a new batch only when its type has no partial batch at the
+    workcenter.
     """
+    owners = wc.index.partials.get(lot.lot_type)
+    if owners is None:
+        return choose_single(lot, wc, rng), "new"
+    if len(owners) == 1:
+        (i,) = owners
+        return i, "join"
     partials = wc.partial_batches(lot.lot_type)
-    if partials:
-        fullest = max(len(b.lots) for _, b in partials)
-        return pick_uniform([i for i, b in partials if len(b.lots) == fullest], rng), "join"
-    return choose_single(lot, wc, rng), "new"
+    fullest = max(len(b.lots) for _, b in partials)
+    return pick_uniform([i for i, b in partials if len(b.lots) == fullest], rng), "join"
 
 
 def take_batch(machine: Machine, queue: MultiQueue,

@@ -29,12 +29,14 @@ is the workcenter's ``model.QueueIndex``, the one object of workcenter-wide
 state every queue holds as ``queue.index`` and the workcenter as
 ``wc.index``. Separation reads the same object: its queue-length buckets
 and its per-type table of how many lots each machine queues, which the
-queue mutators keep current, so an arriving lot costs O(machines in the
-buckets walked), not O(machines). Only when every machine already queues
-the lot's type does it also take the minimum over that type's counts. The
-type counts and marks exist only once ``Workcenter.track_lot_types`` has
-run at the workcenter; ``choose_single`` and ``distance_index`` call it on
-first use, so a baseline run never builds them.
+queue mutators keep current. An arriving lot costs one dict lookup or two
+and its draw while some queue of the workcenter is empty or no queue holds
+its type, the common cases; otherwise O(machines in the buckets walked),
+not O(machines). Only when every machine already queues the lot's type
+does it also take the minimum over that type's counts. The type counts and
+marks exist only once ``Workcenter.track_lot_types`` has run at the
+workcenter; ``choose_single`` and ``distance_index`` call it on first use,
+so a baseline run never builds them.
 
 The marking contract, once tracking has started (which marks every
 machine): whatever changes a single-step machine's queue window or
@@ -65,13 +67,21 @@ def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     """Among the queues with the fewest lots of the lot's own type, take the
     shortest; remaining ties uniform.
 
-    One walk of the index's buckets, upward from the shortest length, meets
-    the fewest-type machines shortest first and, within a length, in
-    machine order; the first bucket holding any of them gives the ties.
-    ``held``, the type's entry in ``index.type_counts``, lists exactly the
-    machines queueing the type, so the fewest is 0 while some machine is
-    missing from it, and otherwise the least count in it. The first call at
-    a workcenter starts its lot-type tracking.
+    Two shortcuts pick without a walk. An empty queue holds no lot of any
+    type, so while the index has a bucket of length 0 its machines have the
+    fewest lots of the type and the shortest queues. A type missing from
+    ``index.type_counts`` is queued nowhere, so every machine has the fewest
+    and the ties are the lowest bucket. In both cases the walk below would
+    stop at that bucket and keep all of it, so the one ``pick_uniform`` over
+    it draws what the walk would.
+
+    Otherwise one walk of the index's buckets, upward from the shortest
+    length, meets the fewest-type machines shortest first and, within a
+    length, in machine order; the first bucket holding any of them gives
+    the ties. ``held``, the type's entry in ``index.type_counts``, lists
+    exactly the machines queueing the type, so the fewest is 0 while some
+    machine is missing from it, and otherwise the least count in it. The
+    first call at a workcenter starts its lot-type tracking.
 
     The walk ends after the longest bucket. A stale ``type_counts`` that
     leaves the walk without a tie raises RuntimeError.
@@ -80,9 +90,13 @@ def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
     counts = index.type_counts
     if counts is None:
         counts = wc.track_lot_types().type_counts
-    held = counts.get(lot.lot_type, {})
-    least = 0 if len(held) < len(wc) else min(held.values())
     buckets = index.buckets
+    if 0 in buckets:
+        return pick_uniform(buckets[0], rng)
+    held = counts.get(lot.lot_type)
+    if held is None:
+        return pick_uniform(buckets[min(buckets)], rng)
+    least = 0 if len(held) < len(wc.machines) else min(held.values())
     n = min(buckets)
     top = max(buckets)
     while n <= top:
@@ -135,24 +149,22 @@ def apply_pulls(lots: list[Lot], pulls: dict[int, int],
                 window_len: int, rng: random.Random) -> None:
     """Apply single-place moves inside the window, in random visit order.
 
-    ``pulls`` maps lot id to pull. Each visited lot moves one place from its
-    position at visit time, clamped to the window, so earlier moves can shift
-    where later ones land.
+    ``pulls`` maps lot id to a pull of -1, 0 or +1. Each visited lot with a
+    pull swaps places with its neighbour on that side, from its position at
+    visit time, so earlier moves can shift where later ones land; a move
+    that would leave the window does nothing. ``lots.index`` finds the lot
+    by identity, since ``Lot`` defines no ``__eq__``.
     """
     w = min(window_len, len(lots))
     order = lots[:w]
     shuffle(order, rng)
     for lot in order:
         pull = pulls.get(lot.id, 0)
-        if pull == 0:
-            continue
-        i = 0
-        while lots[i] is not lot:  # by identity: moves never leave the window
-            i += 1
-        j = min(max(i + pull, 0), w - 1)
-        if j != i:
-            lots.pop(i)
-            lots.insert(j, lot)
+        if pull:
+            i = lots.index(lot)
+            j = i + pull
+            if 0 <= j < w:
+                lots[i], lots[j] = lots[j], lot
 
 
 def reshuffle_flsq(queue: MultiQueue, wc: Workcenter, own_index: int,

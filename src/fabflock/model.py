@@ -266,11 +266,15 @@ class MultiQueue:
             self.lots.append(lot)
             counts = x.type_counts
             if counts is not None:
-                held = counts.setdefault(t, {})
+                held = counts.get(t)
+                if held is None:
+                    held = counts[t] = {}
                 held[i] = held.get(i, 0) + 1
                 x.changed.add(i)
             return
-        owners = x.partials.setdefault(t, {})
+        owners = x.partials.get(t)
+        if owners is None:
+            owners = x.partials[t] = {}
         batch = owners.get(i)
         if batch is None:
             batch = owners[i] = Batch(t, [lot])

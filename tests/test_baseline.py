@@ -59,6 +59,16 @@ class TestChooseBatch:
             picks.add(choice)
         assert picks == {0, 1}
 
+    def test_single_partial_owner_joins_without_drawing(self):
+        wc = make_batch_wc(3, bs=4)
+        add_batch(wc, 0, lot_type=3, size=2)
+        add_batch(wc, 2, lot_type=7, size=2)
+        add_batch(wc, 1, lot_type=7, size=4)  # full: not a candidate
+        rng = random.Random(5)
+        before = rng.getstate()
+        assert baseline.choose_batch(lot(7), wc, rng) == (2, "join")
+        assert rng.getstate() == before
+
     def test_partial_at_busy_machine_is_joinable(self):
         wc = make_batch_wc(2, bs=4)
         wc.machines[0].current_batch = [lot(9) for _ in range(4)]

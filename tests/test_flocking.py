@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fabflock import flocking, model
+from fabflock import baseline, flocking, model
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import init_run, run_to_completion
 from fabflock.flocking import (
@@ -18,6 +18,7 @@ from fabflock.flocking import (
 )
 from fabflock.metrics import RunResult
 from fabflock.model import Lot, Workcenter
+from fabflock.scenario import build_small_fab
 
 from support import (
     batch_type,
@@ -29,6 +30,8 @@ from support import (
     set_idle,
     set_processing,
 )
+from test_baseline import reference_choose_batch
+from test_model import reference_separation
 
 
 @contextmanager
@@ -79,6 +82,37 @@ class TestChooseSingle:
             counts = [wc.type_count(i, probe.lot_type) for i in range(3)]
             choice = flocking.choose_single(probe, wc, rng)
             assert counts[choice] == min(counts)
+
+    @staticmethod
+    def assert_picks_as_the_scan(wc, lot_type):
+        """Over many seeds, the rule picks what the scan picks, with the
+        same draws; returns the picks."""
+        picks = set()
+        for seed in range(40):
+            item = lot(lot_type)
+            live, scanned = random.Random(seed), random.Random(seed)
+            choice = flocking.choose_single(item, wc, live)
+            assert choice == reference_separation(item, wc.queues, scanned)
+            assert live.getstate() == scanned.getstate()
+            picks.add(choice)
+        return picks
+
+    def test_unqueued_type_picks_among_the_shortest_as_the_scan(self):
+        # No queue holds type 7, and no queue is empty: the shortest bucket,
+        # machines 1, 2 and 4, gives the ties.
+        wc = make_single_wc(5)
+        for i, types in enumerate([[1, 2], [1], [2], [1, 1, 2], [3]]):
+            fill_queue(wc, i, types)
+        assert 7 not in wc.track_lot_types().type_counts
+        assert self.assert_picks_as_the_scan(wc, 7) == {1, 2, 4}
+
+    def test_empty_queues_tie_as_in_the_scan(self):
+        # Machines 0 and 1 queue type 7, machine 5 only other types; the
+        # empty queues 2, 3 and 4 hold none of it and are the shortest.
+        wc = make_single_wc(6)
+        for i, types in enumerate([[7], [7, 1], [], [], [], [1]]):
+            fill_queue(wc, i, types)
+        assert self.assert_picks_as_the_scan(wc, 7) == {2, 3, 4}
 
     def test_a_stale_zero_count_raises_instead_of_walking_on(self):
         # Both machines queue type 7, but one count reads 0: no bucket holds
@@ -183,6 +217,19 @@ class TestApplyPulls:
         lots = [a, Lot(id=1, lot_type=1)]
         apply_pulls(lots, {a.id: -1}, 5, random.Random(3))
         assert lots[0] is a
+
+    def test_moves_out_of_the_window_are_clamped_away(self):
+        # A -1 pull at the head and a +1 pull at the window's last slot, the
+        # window shorter and longer than the queue: nothing moves, whatever
+        # the visit order.
+        for window, n in ((3, 5), (5, 3)):
+            lots = [Lot(id=i, lot_type=0) for i in range(n)]
+            before = list(lots)
+            last = lots[min(window, n) - 1]
+            for seed in range(10):
+                apply_pulls(lots, {before[0].id: -1, last.id: 1}, window,
+                            random.Random(seed))
+                assert all(a is b for a, b in zip(lots, before))
 
 
 class TestReshuffle:
@@ -456,3 +503,68 @@ class TestBatchRulesUnderEveryPolicy:
             assert (base.algorithm, flock.algorithm) == ("baseline", "flocking")
             assert [getattr(flock, f) for f in RunResult.__slots__ if f != "algorithm"] \
                 == [getattr(base, f) for f in RunResult.__slots__ if f != "algorithm"]
+
+
+class TestRulesOnLiveRunStates:
+    """The dispatch rules against their scans on the states a run reaches:
+    before each call, the scan runs on a clone of the generator (and, for a
+    reshuffle, on a copy of the queue), and the call must give the same
+    machine, tag or order and leave the generator in the same state."""
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_each_call_of_a_small_fab_run_equals_its_scan(self, seed, monkeypatch):
+        seen = {}
+        real_separation = flocking.choose_single
+        real_choose_batch = baseline.choose_batch
+        real_reshuffle = flocking.reshuffle_flsq
+
+        def clone(rng):
+            copy = random.Random()
+            copy.setstate(rng.getstate())
+            return copy
+
+        def tally(case):
+            seen[case] = seen.get(case, 0) + 1
+
+        def separation(item, wc, rng):
+            if any(q.size == 0 for q in wc.queues):
+                tally("empty queue")
+            elif not any(l.lot_type == item.lot_type for q in wc.queues for l in q.lots):
+                tally("unqueued type")
+            else:
+                tally("walk")
+            scanned = clone(rng)
+            expected = reference_separation(item, wc.queues, scanned)
+            assert real_separation(item, wc, rng) == expected
+            assert rng.getstate() == scanned.getstate()
+            return expected
+
+        def choose_batch(item, wc, rng):
+            owners = {i for i, q in enumerate(wc.queues) for b in q.batches
+                      if b.lot_type == item.lot_type and len(b.lots) < wc.mtype.batch_size}
+            tally(f"{min(len(owners), 2)} partial owners")
+            scanned = clone(rng)
+            expected = reference_choose_batch(item, wc.queues, wc.mtype.batch_size, scanned)
+            assert real_choose_batch(item, wc, rng) == expected
+            assert rng.getstate() == scanned.getstate()
+            return expected
+
+        def reshuffle(queue, wc, own_index, rng, window_len=flocking.DEFAULT_FLSQ_LEN):
+            tally("reshuffle")
+            expected = SimpleNamespace(lots=list(queue.lots))
+            scanned = clone(rng)
+            reference_reshuffle(expected, wc, own_index, scanned, window_len)
+            real_reshuffle(queue, wc, own_index, rng, window_len)
+            assert all(a is b for a, b in zip(queue.lots, expected.lots))
+            assert rng.getstate() == scanned.getstate()
+
+        monkeypatch.setattr(flocking, "choose_single", separation)
+        monkeypatch.setattr(baseline, "choose_batch", choose_batch)
+        monkeypatch.setattr(flocking, "reshuffle_flsq", reshuffle)
+        run_to_completion(init_run(build_small_fab(), FlockingPolicy(), seed))
+        # Every fast path and separation's walk were met. A run never holds
+        # two partial batches of one type at a workcenter, since a lot opens
+        # a new batch only when its type has none there; the tie among
+        # several owners is checked by TestChooseBatchMatchesTheScan.
+        assert set(seen) == {"unqueued type", "empty queue", "walk", "0 partial owners",
+                             "1 partial owners", "reshuffle"}, seen
