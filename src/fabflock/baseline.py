@@ -1,12 +1,18 @@
 """Engineered comparison policy.
 
 Single-step workcenters: join the machine with the shortest queue, serve the
-queue strictly FIFO. Batch workcenters, under every policy: top up the
-partial batch missing the fewest lots anywhere in the workcenter (new batch
-at the shortest overall queue when the type has no partial batch); a machine
-starts a full batch as soon as one waits, and only falls back to its fullest
-partial batch once the waiting timer has expired. All ties break uniformly
-at random.
+queue strictly FIFO. Batch workcenters, under every policy: a lot joins its
+type's partial batch if the workcenter holds one, and otherwise opens a new
+batch at the shortest overall queue; a machine starts a full batch as soon
+as one waits, and only falls back to its fullest partial batch once the
+waiting timer has expired. All ties break uniformly at random.
+
+The paper words the join as "top up the partial batch missing the fewest
+lots anywhere in the workcenter, ties uniform". That rank never has two
+candidates: a lot opens a new batch only when its type has no partial batch
+at the workcenter, so there is at most one per type, and
+``MultiQueue.add_lot`` refuses a second. The rank and its tie draw are
+therefore not coded; the tests keep the rule as written as their reference.
 """
 
 from __future__ import annotations
@@ -56,27 +62,17 @@ def choose_single(lot: Lot, wc: Workcenter, rng: random.Random) -> int:
 def choose_batch(lot: Lot, wc: Workcenter, rng: random.Random) -> tuple[int, str]:
     """Queue choice at a batch workcenter: (machine index, "join" | "new").
 
-    Joins the workcenter's partial batch of the lot's type that misses the
-    fewest lots, that is the fullest one, since every batch of the
-    workcenter has the same size limit; with none anywhere, opens a new
-    batch at the machine with the shortest overall queue. Ties uniform.
-    Each machine holds at most one partial batch per type, so the
-    candidates are the type's partial-batch owners in ``index.partials``.
-    One owner is joined without a sort or a draw, as ``pick_uniform`` of
-    one element draws nothing; only two or more are sorted into machine
-    order (``partial_batches``) and ranked. An engine run never has two: a
-    lot opens a new batch only when its type has no partial batch at the
-    workcenter.
+    Joins the workcenter's partial batch of the lot's type, without a draw;
+    with none, opens a new batch at the machine with the shortest overall
+    queue, ties uniform. The paper's "fewest lots missing" rank would pick
+    among several partial batches of the type, but ``index.partials`` holds
+    at most one (module docstring), so joining it is that rank's only
+    outcome and its tie draw is never made.
     """
-    owners = wc.index.partials.get(lot.lot_type)
-    if owners is None:
+    entry = wc.index.partials.get(lot.lot_type)
+    if entry is None:
         return choose_single(lot, wc, rng), "new"
-    if len(owners) == 1:
-        (i,) = owners
-        return i, "join"
-    partials = wc.partial_batches(lot.lot_type)
-    fullest = max(len(b.lots) for _, b in partials)
-    return pick_uniform([i for i, b in partials if len(b.lots) == fullest], rng), "join"
+    return entry[0], "join"
 
 
 def take_batch(machine: Machine, queue: MultiQueue,

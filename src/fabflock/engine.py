@@ -280,11 +280,11 @@ def audit_state(state: SimState) -> None:
     exactly when its queue is nonempty, and once a tick has run it holds no
     full batch. Every workcenter's ``QueueIndex`` must equal one recount of
     each table: each length bucket the machines with that queue size in
-    machine order, and ``partials`` every queue's partial batches, at most
-    one per queue and type. A workcenter tracking lot types must have
-    ``type_counts`` equal the queued lots per type and machine; an
-    untracked one must hold no lot-type state at all (no counts, marks or
-    distance index). Equality with a recount rules out
+    machine order, and ``partials`` the workcenter's partial batches, at
+    most one per type across all its queues. A workcenter tracking lot
+    types must have ``type_counts`` equal the queued lots per type and
+    machine; an untracked one must hold no lot-type state at all (no
+    counts, marks or distance index). Equality with a recount rules out
     empty buckets, empty inner tables and zero counts. Where a workcenter
     has built its same-type distance index, checks it without changing it:
     every machine not in ``index.changed`` holds the
@@ -334,16 +334,16 @@ def _audit_queue_index(wc: Workcenter) -> None:
     name = f"workcenter {wc.mtype.id}"
     bs = wc.mtype.batch_size
     buckets: dict[int, list[int]] = {}
-    partials: dict[int, dict[int, Batch]] = {}
+    partials: dict[int, tuple[int, Batch]] = {}
     counts: dict[int, dict[int, int]] = {}
     for m, q in zip(wc.machines, wc.queues):
         i = m.index
         buckets.setdefault(q.size, []).append(i)
         for b in q.batches:
             if len(b.lots) < bs:
-                owners = partials.setdefault(b.lot_type, {})
-                assert i not in owners, f"{m.label}: two partial batches of one type"
-                owners[i] = b
+                assert b.lot_type not in partials, \
+                    f"{name}: two partial batches of type {b.lot_type}"
+                partials[b.lot_type] = (i, b)
         for lot in q.lots:
             held = counts.setdefault(lot.lot_type, {})
             held[i] = held.get(i, 0) + 1

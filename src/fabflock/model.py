@@ -165,11 +165,11 @@ class QueueIndex:
     ``buckets`` maps each queue length some machine has to the indices of
     the machines with that length, ascending, so the shortest queues are
     ``buckets[min(buckets)]``. ``partials`` maps each lot type with a
-    partial batch to ``{machine index: that batch}`` over the batch machines
-    holding one; a queue holds at most one partial batch per type, so every
-    queued batch not in the table is full; ``MultiQueue.add_lot``, the only
-    way into a queue, is the one mutator that adds to it. A bucket or inner
-    table is deleted when its last machine leaves it, so none is ever empty.
+    partial batch to ``(machine index, that batch)``: a workcenter holds at
+    most one partial batch per type, so every queued batch not in the table
+    is full. ``MultiQueue.add_lot``, the only way into a queue, is the one
+    mutator that adds to it, and it keeps that bound. A bucket is deleted
+    when its last machine leaves it, so none is ever empty.
 
     The lot-type state is tracked only once a reader asks for it
     (``Workcenter.track_lot_types``); until then ``type_counts`` and
@@ -190,7 +190,7 @@ class QueueIndex:
     def __init__(self, machine_count: int):
         self.buckets: dict[int, list[int]] = {0: list(range(machine_count))}
         self.type_counts: dict[int, dict[int, int]] | None = None
-        self.partials: dict[int, dict[int, Batch]] = {}
+        self.partials: dict[int, tuple[int, Batch]] = {}
         self.changed: set[int] | None = None
 
     def move(self, i: int, old: int, new: int) -> None:
@@ -209,21 +209,16 @@ class QueueIndex:
         else:
             insort(bucket, i)
 
-    def drop_partial(self, lot_type: int, i: int) -> None:
-        owners = self.partials[lot_type]
-        if len(owners) == 1:
-            del self.partials[lot_type]
-        else:
-            del owners[i]
-
 
 class MultiQueue:
     """Dedicated queue of one machine.
 
     Single-step owners keep an ordered lot list (index 0 = head). Batch
-    owners keep a list of batches; at most one partial batch exists per lot
-    type, so an arriving lot either tops up its type's partial batch, the
-    one ``index.partials`` names for this queue, or opens a new one.
+    owners keep a list of batches. A workcenter holds at most one partial
+    batch per lot type, the one ``index.partials`` names, so an arriving lot
+    tops up its type's partial batch when this queue holds it, opens a new
+    one when no queue does, and is refused with a ValueError, before
+    anything changes, when another queue of the workcenter holds it.
 
     ``size`` is the number of queued lots of either kind. Lots enter only
     through ``add_lot``, one at a time, and leave only through ``pop_head``
@@ -256,11 +251,8 @@ class MultiQueue:
         return self.size == 0
 
     def add_lot(self, lot: Lot) -> None:
-        n = self.size
-        self.size = n + 1
         x = self.index
         i = self.owner.index
-        x.move(i, n, n + 1)
         t = lot.lot_type
         if self.owner.mtype.kind is MachineKind.SINGLE_STEP:
             self.lots.append(lot)
@@ -271,18 +263,23 @@ class MultiQueue:
                     held = counts[t] = {}
                 held[i] = held.get(i, 0) + 1
                 x.changed.add(i)
-            return
-        owners = x.partials.get(t)
-        if owners is None:
-            owners = x.partials[t] = {}
-        batch = owners.get(i)
-        if batch is None:
-            batch = owners[i] = Batch(t, [lot])
-            self.batches.append(batch)
         else:
-            batch.lots.append(lot)
-            if len(batch.lots) == self.owner.mtype.batch_size:
-                x.drop_partial(t, i)
+            entry = x.partials.get(t)
+            if entry is None:
+                batch = Batch(t, [lot])
+                x.partials[t] = (i, batch)
+                self.batches.append(batch)
+            elif entry[0] != i:
+                raise ValueError(f"{self.owner.label}: machine {entry[0]} of the "
+                                 f"workcenter holds the partial batch of type {t}")
+            else:
+                lots = entry[1].lots
+                lots.append(lot)
+                if len(lots) == self.owner.mtype.batch_size:
+                    del x.partials[t]
+        n = self.size
+        self.size = n + 1
+        x.move(i, n, n + 1)
 
     def pop_head(self) -> Lot:
         lot = self.lots.pop(0)
@@ -314,8 +311,9 @@ class MultiQueue:
                 n = self.size
                 self.size = n - len(batch.lots)
                 x.move(i, n, self.size)
-                if x.partials.get(batch.lot_type, {}).get(i) is batch:
-                    x.drop_partial(batch.lot_type, i)
+                entry = x.partials.get(batch.lot_type)
+                if entry is not None and entry[1] is batch:
+                    del x.partials[batch.lot_type]
                 return
         raise ValueError("batch not in this queue")
 
@@ -345,7 +343,7 @@ class Workcenter:
     current. It answers the dispatch rules' questions without visiting the
     machines: the shortest queues are ``index.buckets[min(index.buckets)]``,
     the machines queueing a lot type and how many lots of it each queues are
-    ``index.type_counts``, and the partial batches of a type are
+    ``index.type_counts``, and the partial batch of a type, if any, is
     ``index.partials``. Queue lengths are read per machine (``queue_len``)
     or from the buckets.
 
@@ -380,9 +378,6 @@ class Workcenter:
         """The workcenter itself. Kept only because ``bench/run.py`` ``SITES``
         traces ``engine.Workcenter.view`` by name."""
         return self
-
-    def __len__(self) -> int:
-        return len(self.machines)
 
     def queue_len(self, i: int) -> int:
         return self.queues[i].size
@@ -458,10 +453,12 @@ class Workcenter:
         return maps, counts, sums
 
     def partial_batches(self, lot_type: int) -> list[tuple[int, Batch]]:
-        """(machine index, batch) for every partial batch of ``lot_type``, in
-        machine order; a queue holds at most one per type."""
-        owners = self.index.partials.get(lot_type)
-        return sorted(owners.items()) if owners else []
+        """``[(machine index, batch)]`` for the workcenter's partial batch of
+        ``lot_type``, or ``[]`` without one. Kept only because
+        ``bench/run.py`` ``SITES`` traces it by name; no package code calls
+        it."""
+        entry = self.index.partials.get(lot_type)
+        return [entry] if entry else []
 
 
 #: Kept only because ``bench/run.py`` ``SITES`` traces the view methods as

@@ -61,11 +61,12 @@ def set_idle(wc: Workcenter, i: int) -> None:
 
 
 def add_batch(wc: Workcenter, i: int, lot_type: int, size: int) -> Batch:
-    """Queue ``size`` new lots of the type at batch machine i, which must
-    hold no partial batch of the type, and return the batch holding them."""
+    """Queue ``size`` new lots of the type at batch machine i, and return
+    the batch holding them. The workcenter must hold no partial batch of the
+    type, so a full batch of a type goes in before its partial one."""
     assert 1 <= size <= wc.mtype.batch_size, f"a batch holds 1 to batch_size lots, not {size}"
-    assert i not in wc.index.partials.get(lot_type, {}), \
-        f"machine {i} already holds a partial batch of type {lot_type}"
+    assert lot_type not in wc.index.partials, \
+        f"the workcenter already holds a partial batch of type {lot_type}"
     queue = wc.queues[i]
     for _ in range(size):
         queue.add_lot(lot(lot_type))

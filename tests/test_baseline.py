@@ -33,12 +33,23 @@ class TestChooseSingle:
 
 
 class TestChooseBatch:
-    def test_joins_batch_missing_fewest(self):
+    def test_a_second_partial_owner_is_rejected_unchanged(self):
+        # A workcenter holds at most one partial batch per type, so the
+        # paper's "fewest missing" rank never has two candidates to rank.
         wc = make_batch_wc(2, bs=4)
-        add_batch(wc, 0, lot_type=7, size=2)
-        add_batch(wc, 1, lot_type=7, size=3)
-        choice, action = baseline.choose_batch(lot(7), wc, random.Random(1))
-        assert (choice, action) == (1, "join")
+        owned = add_batch(wc, 0, lot_type=7, size=2)
+        add_batch(wc, 1, lot_type=3, size=1)
+        sizes = [q.size for q in wc.queues]
+        buckets = {n: list(ms) for n, ms in wc.index.buckets.items()}
+        partials = dict(wc.index.partials)
+        with pytest.raises(ValueError, match="partial batch of type 7"):
+            wc.queues[1].add_lot(lot(7))
+        assert [q.size for q in wc.queues] == sizes
+        assert wc.index.buckets == buckets
+        assert wc.index.partials == partials
+        assert [len(b.lots) for b in wc.queues[1].batches] == [1]
+        assert len(owned.lots) == 2
+        assert baseline.choose_batch(lot(7), wc, random.Random(1)) == (0, "join")
 
     def test_new_batch_at_shortest_overall_queue(self):
         wc = make_batch_wc(2, bs=4)
@@ -48,22 +59,11 @@ class TestChooseBatch:
         choice, action = baseline.choose_batch(lot(7), wc, random.Random(1))
         assert (choice, action) == (1, "new")
 
-    def test_tied_partials_uniform(self):
-        picks = set()
-        for s in range(60):
-            wc = make_batch_wc(2, bs=4)
-            add_batch(wc, 0, lot_type=7, size=3)
-            add_batch(wc, 1, lot_type=7, size=3)
-            choice, action = baseline.choose_batch(lot(7), wc, random.Random(s))
-            assert action == "join"
-            picks.add(choice)
-        assert picks == {0, 1}
-
     def test_single_partial_owner_joins_without_drawing(self):
         wc = make_batch_wc(3, bs=4)
         add_batch(wc, 0, lot_type=3, size=2)
-        add_batch(wc, 2, lot_type=7, size=2)
         add_batch(wc, 1, lot_type=7, size=4)  # full: not a candidate
+        add_batch(wc, 2, lot_type=7, size=2)
         rng = random.Random(5)
         before = rng.getstate()
         assert baseline.choose_batch(lot(7), wc, rng) == (2, "join")
@@ -94,31 +94,31 @@ def reference_choose_batch(item, queues, batch_size, rng):
 
 @st.composite
 def _batch_workcenter(draw):
-    """(batch size, per machine a list of (lot type, size) batches with at
-    most one partial per type, the full ones first, arriving lot type,
-    seed). A machine holds a partial batch of type 0 with odds 3 in 4 and
-    of types 1 and 2 with odds 1 in 4, so type 0 has several; type 3 is
-    never queued. Full batches come first because ``support.add_batch``
-    would top a partial batch of the type up instead of opening a new one."""
+    """(batch size, per machine its full batches' lot types, the partial
+    batches as (machine, lot type, size), arriving lot type, seed). The
+    workcenter holds a partial batch of type 0 with odds 3 in 4 and of
+    types 1 and 2 with odds 1 in 4, each at a drawn machine; type 3 is never
+    queued. The full batches go in first, as a run has them: a partial
+    batch queued earlier would be topped up, at most one exists per type,
+    and a lot of its type could join no other machine."""
     bs = draw(st.integers(2, 6))
-    machines = []
-    for _ in range(draw(st.integers(1, 8))):
-        batches = [(t, bs) for t in draw(st.lists(st.integers(0, 2), max_size=3))]
-        for t, odds in enumerate((3, 1, 1)):
-            if draw(st.integers(0, 3)) < odds:
-                batches.append((t, draw(st.integers(1, bs - 1))))
-        machines.append(sorted(draw(st.permutations(batches)), key=lambda b: b[1] < bs))
-    return bs, machines, draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16))
+    n = draw(st.integers(1, 8))
+    fulls = [draw(st.lists(st.integers(0, 2), max_size=3)) for _ in range(n)]
+    partials = [(draw(st.integers(0, n - 1)), t, draw(st.integers(1, bs - 1)))
+                for t, odds in enumerate((3, 1, 1)) if draw(st.integers(0, 3)) < odds]
+    return bs, fulls, partials, draw(st.integers(0, 3)), draw(st.integers(0, 2 ** 16))
 
 
 class TestChooseBatchMatchesTheScan:
     @given(_batch_workcenter())
     def test_index_tag_and_draws_equal_the_scanning_rule(self, case):
-        bs, machines, arriving, seed = case
-        wc = make_batch_wc(len(machines), bs=bs)
-        for i, batches in enumerate(machines):
-            for lot_type, size in batches:
-                add_batch(wc, i, lot_type, size)
+        bs, fulls, partials, arriving, seed = case
+        wc = make_batch_wc(len(fulls), bs=bs)
+        for i, lot_types in enumerate(fulls):
+            for lot_type in lot_types:
+                add_batch(wc, i, lot_type, bs)
+        for i, lot_type, size in partials:
+            add_batch(wc, i, lot_type, size)
         item = lot(arriving)
         live, scanned = random.Random(seed), random.Random(seed)
         assert baseline.choose_batch(item, wc, live) == \

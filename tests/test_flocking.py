@@ -1,5 +1,6 @@
 import random
 import signal
+from collections import Counter
 from contextlib import contextmanager
 from types import SimpleNamespace
 
@@ -30,6 +31,7 @@ from support import (
     set_idle,
     set_processing,
 )
+from test_acceptance import _random_scenario
 from test_baseline import reference_choose_batch
 from test_model import reference_separation
 
@@ -260,7 +262,7 @@ def same_type_distances(wc, own_index, window_len):
     shows the type, in machine order, from one pass over the other machines:
     the reference for the workcenter's distance index."""
     distances = {}
-    for other in range(len(wc)):
+    for other in range(len(wc.machines)):
         if other == own_index:
             continue
         processing = wc.processing_type(other)
@@ -292,7 +294,7 @@ def reference_reshuffle(queue, wc, own_index, rng, window_len):
     pulls = {}
     for pos, item in enumerate(lots[:w], start=1):
         distances = []
-        for other in range(len(wc)):
+        for other in range(len(wc.machines)):
             if other == own_index:
                 continue
             d = first_same_type_distance(item.lot_type, wc, other, window_len)
@@ -346,7 +348,7 @@ class TestOnePassReshuffle:
         wc = _build(queues, processing)
         distances = same_type_distances(wc, own, window)
         for lot_type in range(N_TYPES + 1):  # N_TYPES is queued nowhere
-            expected = [d for other in range(len(wc)) if other != own
+            expected = [d for other in range(len(wc.machines)) if other != own
                         and (d := first_same_type_distance(lot_type, wc, other,
                                                            window)) is not None]
             assert distances.get(lot_type, []) == expected
@@ -367,7 +369,7 @@ def _check_index_against_reference(wc, window):
     """The index's maps equal ``first_same_type_distance``, and its (count,
     total) less each own machine's entry equal ``same_type_distances``."""
     maps, counts, sums = wc.distance_index(window)
-    for own in range(len(wc)):
+    for own in range(len(wc.machines)):
         assert maps[own] == {t: d for t in range(N_TYPES) if (
             d := first_same_type_distance(t, wc, own, window)) is not None}
         reference = same_type_distances(wc, own, window)
@@ -505,6 +507,33 @@ class TestBatchRulesUnderEveryPolicy:
                 == [getattr(base, f) for f in RunResult.__slots__ if f != "algorithm"]
 
 
+def _clone(rng):
+    copy = random.Random()
+    copy.setstate(rng.getstate())
+    return copy
+
+
+def _checked_choose_batch(seen):
+    """``baseline.choose_batch`` checked on every call against
+    ``reference_choose_batch``, the paper's rule as written, on a clone of
+    the generator; tallies the partial batches of the lot's type the call
+    sees in ``seen`` and fails on two."""
+    real_choose_batch = baseline.choose_batch
+
+    def choose_batch(item, wc, rng):
+        partials = [b for q in wc.queues for b in q.batches
+                    if b.lot_type == item.lot_type and len(b.lots) < wc.mtype.batch_size]
+        assert len(partials) <= 1, f"two partial batches of type {item.lot_type}"
+        seen[f"{len(partials)} partial batches"] += 1
+        scanned = _clone(rng)
+        expected = reference_choose_batch(item, wc.queues, wc.mtype.batch_size, scanned)
+        assert real_choose_batch(item, wc, rng) == expected
+        assert rng.getstate() == scanned.getstate()
+        return expected
+
+    return choose_batch
+
+
 class TestRulesOnLiveRunStates:
     """The dispatch rules against their scans on the states a run reaches:
     before each call, the scan runs on a clone of the generator (and, for a
@@ -513,58 +542,56 @@ class TestRulesOnLiveRunStates:
 
     @pytest.mark.parametrize("seed", [3, 11])
     def test_each_call_of_a_small_fab_run_equals_its_scan(self, seed, monkeypatch):
-        seen = {}
+        seen = Counter()
         real_separation = flocking.choose_single
-        real_choose_batch = baseline.choose_batch
         real_reshuffle = flocking.reshuffle_flsq
-
-        def clone(rng):
-            copy = random.Random()
-            copy.setstate(rng.getstate())
-            return copy
-
-        def tally(case):
-            seen[case] = seen.get(case, 0) + 1
 
         def separation(item, wc, rng):
             if any(q.size == 0 for q in wc.queues):
-                tally("empty queue")
+                seen["empty queue"] += 1
             elif not any(l.lot_type == item.lot_type for q in wc.queues for l in q.lots):
-                tally("unqueued type")
+                seen["unqueued type"] += 1
             else:
-                tally("walk")
-            scanned = clone(rng)
+                seen["walk"] += 1
+            scanned = _clone(rng)
             expected = reference_separation(item, wc.queues, scanned)
             assert real_separation(item, wc, rng) == expected
             assert rng.getstate() == scanned.getstate()
             return expected
 
-        def choose_batch(item, wc, rng):
-            owners = {i for i, q in enumerate(wc.queues) for b in q.batches
-                      if b.lot_type == item.lot_type and len(b.lots) < wc.mtype.batch_size}
-            tally(f"{min(len(owners), 2)} partial owners")
-            scanned = clone(rng)
-            expected = reference_choose_batch(item, wc.queues, wc.mtype.batch_size, scanned)
-            assert real_choose_batch(item, wc, rng) == expected
-            assert rng.getstate() == scanned.getstate()
-            return expected
-
         def reshuffle(queue, wc, own_index, rng, window_len=flocking.DEFAULT_FLSQ_LEN):
-            tally("reshuffle")
+            seen["reshuffle"] += 1
             expected = SimpleNamespace(lots=list(queue.lots))
-            scanned = clone(rng)
+            scanned = _clone(rng)
             reference_reshuffle(expected, wc, own_index, scanned, window_len)
             real_reshuffle(queue, wc, own_index, rng, window_len)
             assert all(a is b for a, b in zip(queue.lots, expected.lots))
             assert rng.getstate() == scanned.getstate()
 
         monkeypatch.setattr(flocking, "choose_single", separation)
-        monkeypatch.setattr(baseline, "choose_batch", choose_batch)
+        monkeypatch.setattr(baseline, "choose_batch", _checked_choose_batch(seen))
         monkeypatch.setattr(flocking, "reshuffle_flsq", reshuffle)
         run_to_completion(init_run(build_small_fab(), FlockingPolicy(), seed))
-        # Every fast path and separation's walk were met. A run never holds
-        # two partial batches of one type at a workcenter, since a lot opens
-        # a new batch only when its type has none there; the tie among
-        # several owners is checked by TestChooseBatchMatchesTheScan.
-        assert set(seen) == {"unqueued type", "empty queue", "walk", "0 partial owners",
-                             "1 partial owners", "reshuffle"}, seen
+        # Every fast path and separation's walk were met; no call saw two
+        # partial batches of its type, which _checked_choose_batch asserts.
+        assert set(seen) == {"unqueued type", "empty queue", "walk", "0 partial batches",
+                             "1 partial batches", "reshuffle"}, seen
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    def test_each_batch_choice_of_a_baseline_small_fab_run_equals_the_rule(
+            self, seed, monkeypatch):
+        seen = Counter()
+        monkeypatch.setattr(baseline, "choose_batch", _checked_choose_batch(seen))
+        run_to_completion(init_run(build_small_fab(), BaselinePolicy(), seed))
+        assert set(seen) == {"0 partial batches", "1 partial batches"}, seen
+
+    def test_each_batch_choice_on_randomized_scenarios_equals_the_rule(self, monkeypatch):
+        # The first 60 of criterion 6's scenarios, with its run seeds.
+        seen = Counter()
+        monkeypatch.setattr(baseline, "choose_batch", _checked_choose_batch(seen))
+        gen = random.Random(1234)
+        for i in range(60):
+            scenario = _random_scenario(gen)
+            for policy in (BaselinePolicy(), FlockingPolicy()):
+                run_to_completion(init_run(scenario, policy, 1000 + i))
+        assert set(seen) == {"0 partial batches", "1 partial batches"}, seen

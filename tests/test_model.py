@@ -155,7 +155,7 @@ class TestMultiQueueAddLot:
             partial = [b for b in queue.batches if len(b.lots) < 4]
             assert all(1 <= len(b.lots) <= 4 for b in queue.batches)
             assert len(partial) == (1 if n % 4 else 0)
-            assert wc.index.partials.get(2, {}).get(0) is (partial[0] if partial else None)
+            assert wc.index.partials.get(2) == ((0, partial[0]) if partial else None)
         assert queue.total_len() == 10
 
     def test_single_step_queue_keeps_lots_not_batches(self):
@@ -165,7 +165,7 @@ class TestMultiQueueAddLot:
             wc.queues[0].add_lot(item)
         assert wc.queues[0].lots == queued
         assert wc.queues[0].batches == []
-        assert wc.index.partials.get(0, {}) == {}
+        assert wc.index.partials == {}
 
 
 class TestWorkcenterView:
@@ -265,11 +265,18 @@ class TestQueueCountersMatchRecount:
             queue = wc.queues[i]
             if op == "lot":
                 item = lot(lot_type)
-                queue.add_lot(item)
-                if batching:
-                    reference_add_lot(model[i], item, bs)
+                held_elsewhere = batching and any(
+                    t == lot_type and len(ids) < bs
+                    for j, batches in enumerate(model) if j != i for t, ids in batches)
+                if held_elsewhere:  # refused, and nothing may change
+                    with pytest.raises(ValueError):
+                        queue.add_lot(item)
                 else:
-                    model[i].append(item.id)
+                    queue.add_lot(item)
+                    if batching:
+                        reference_add_lot(model[i], item, bs)
+                    else:
+                        model[i].append(item.id)
             elif op == "pop" and not batching and model[i]:
                 assert queue.pop_head().id == model[i].pop(0)
             elif op == "remove" and batching and model[i]:
@@ -293,11 +300,14 @@ class TestQueueCountersMatchRecount:
                 live, scanned = random.Random(pick), random.Random(pick)
                 assert rule(item, wc, live) == reference(item, wc.queues, scanned)
                 assert live.getstate() == scanned.getstate()
+            buckets = {}
+            for k, q in enumerate(wc.queues):
+                buckets.setdefault(reference_total_len(q), []).append(k)
+            assert wc.index.buckets == buckets
             for t in range(N_TYPES):
-                got = wc.partial_batches(t)
-                want = reference_partial_batches(wc.queues, t, bs)
-                assert [i for i, _ in got] == [i for i, _ in want]
-                assert all(a is b for (_, a), (_, b) in zip(got, want))
+                entry = wc.index.partials.get(t)
+                assert ([entry] if entry else []) == \
+                    reference_partial_batches(wc.queues, t, bs)
 
 
 @st.composite
