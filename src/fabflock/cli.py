@@ -223,7 +223,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default ./results)")
     parser.add_argument("--horizon-factor", type=int, default=DEFAULT_HORIZON_FACTOR,
                         help="livelock guard: abort after this many times the total work "
-                             f"content passes without a finish (default {DEFAULT_HORIZON_FACTOR})")
+                             "content passes without a finish; a waiting timer as long as "
+                             "that aborts a healthy run, so raise it for long timers "
+                             f"(default {DEFAULT_HORIZON_FACTOR})")
     return parser
 
 

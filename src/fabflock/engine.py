@@ -239,6 +239,14 @@ def run_to_completion(state: SimState, horizon_factor: int = DEFAULT_HORIZON_FAC
 
     Aborts with SimulationAbort when more than horizon_factor x the total raw
     process ticks of the lot population pass without any lot finishing.
+    That also ends a healthy run whose lots wait out a waiting timer as long
+    as the horizon or longer: one lot of a 1-tick step at a size-2 batch
+    machine with a 300-tick timer has 1 tick of work, so the default factor
+    aborts at tick 101, while ``horizon_factor=301`` lets the timer expire
+    and the lot finish at tick 301. The message names the longest waiting
+    timer when it is no shorter than the horizon, so that a lot waiting it
+    out can outlast the guard.
+
     Raises ValueError, before the first tick, when ``horizon_factor`` is
     below 1: such a horizon is shorter than the work itself.
     """
@@ -249,9 +257,13 @@ def run_to_completion(state: SimState, horizon_factor: int = DEFAULT_HORIZON_FAC
     horizon = max(1, horizon_factor * sum(rpt_by_type[l.lot_type] for l in state.lots))
     while len(state.finished) < total:
         if state.clock - state.last_finish_tick > horizon:
+            longest = max(state.scenario.machine_types, key=lambda mt: mt.wt_ticks)
+            hint = "" if longest.wt_ticks < horizon else (
+                f"; the {longest.wt_ticks}-tick waiting timer of machine type {longest.id} "
+                f"is no shorter than the {horizon}-tick horizon; raise the horizon factor")
             raise SimulationAbort(
                 f"aborted at tick {state.clock}: no lot finished since tick "
-                f"{state.last_finish_tick} ({len(state.finished)}/{total} lots done)")
+                f"{state.last_finish_tick} ({len(state.finished)}/{total} lots done){hint}")
         tick(state)
 
     records = tuple(

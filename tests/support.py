@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from types import SimpleNamespace
 
 from fabflock.metrics import LotRecord, RunResult
 from fabflock.model import Batch, Lot, MachineKind, MachineType, Workcenter
@@ -60,6 +61,15 @@ def set_idle(wc: Workcenter, i: int) -> None:
     wc.track_lot_types().changed.add(i)
 
 
+def machine_views(wc: Workcenter) -> list[SimpleNamespace]:
+    """Per machine of ``wc``, its queue's ``lots`` and ``batches`` and its
+    ``current_batch``: the duck-typed machines the distance and reshuffle
+    rules of ``reference_engine`` read. The views share the live lists, so
+    build them after the state they should show."""
+    return [SimpleNamespace(lots=q.lots, batches=q.batches, current_batch=m.current_batch)
+            for m, q in zip(wc.machines, wc.queues)]
+
+
 def add_batch(wc: Workcenter, i: int, lot_type: int, size: int) -> Batch:
     """Queue ``size`` new lots of the type at batch machine i, and return
     the batch holding them. The workcenter must hold no partial batch of the
@@ -91,3 +101,29 @@ def batch_type(type_id: int = 0, rpt: int = 3, bs: int = 2, wt: int = 3,
 
 def lots_spec(type_id: int, count: int, recipe) -> LotSpec:
     return LotSpec(type_id, count, tuple(recipe))
+
+
+def random_scenario(rng) -> Scenario:
+    """One of acceptance criterion 6's randomized scenarios: 1 to 4 machine
+    types, each a batch type with odds 0.4, and 1 to 3 lot types of at most
+    30 lots in all, with recipes of 1 to 5 steps."""
+    n_types = rng.randint(1, 4)
+    machine_types = []
+    for m in range(n_types):
+        if rng.random() < 0.4:
+            machine_types.append(MachineType(
+                m, MachineKind.BATCH, raw_process_ticks=rng.randint(1, 4),
+                batch_size=rng.randint(2, 4), wt_ticks=rng.randint(0, 5),
+                machine_count=rng.randint(1, 3)))
+        else:
+            machine_types.append(MachineType(
+                m, MachineKind.SINGLE_STEP, raw_process_ticks=rng.randint(1, 4),
+                machine_count=rng.randint(1, 3)))
+    specs = []
+    budget = 30
+    for t in range(rng.randint(1, 3)):
+        count = rng.randint(0, min(10, budget))
+        budget -= count
+        recipe = tuple(rng.randrange(n_types) for _ in range(rng.randint(1, 5)))
+        specs.append(LotSpec(t, count, recipe))
+    return Scenario("random", 0.1, tuple(machine_types), tuple(specs))

@@ -6,7 +6,6 @@ lines alongside the pytest report.
 
 import csv
 import hashlib
-import itertools
 import random
 import time
 
@@ -18,10 +17,11 @@ from fabflock.baseline import BaselinePolicy
 from fabflock.engine import audit_state, init_run, run_to_completion, tick
 from fabflock.flocking import FlockingPolicy, first_same_type_distance, pull_from_totals
 from fabflock.metrics import summarize
-from fabflock.model import Lot, MachineKind, MachineType, Machine, MultiQueue
+from fabflock.model import MachineKind, MachineType
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
 
-from support import add_batch, fill_queue, lot, make_batch_wc, make_single_wc, set_processing
+from support import (add_batch, fill_queue, lot, make_batch_wc, make_single_wc, random_scenario,
+                     set_processing)
 from support import result_json as _result_json
 
 RUNS = 50
@@ -163,29 +163,6 @@ def test_criterion_5_batch_rules_property_and_tie_uniformity():
                   f"chi2 p={chi.pvalue:.3f}")
 
 
-def _random_scenario(rng):
-    n_types = rng.randint(1, 4)
-    machine_types = []
-    for m in range(n_types):
-        if rng.random() < 0.4:
-            machine_types.append(MachineType(
-                m, MachineKind.BATCH, raw_process_ticks=rng.randint(1, 4),
-                batch_size=rng.randint(2, 4), wt_ticks=rng.randint(0, 5),
-                machine_count=rng.randint(1, 3)))
-        else:
-            machine_types.append(MachineType(
-                m, MachineKind.SINGLE_STEP, raw_process_ticks=rng.randint(1, 4),
-                machine_count=rng.randint(1, 3)))
-    specs = []
-    budget = 30
-    for t in range(rng.randint(1, 3)):
-        count = rng.randint(0, min(10, budget))
-        budget -= count
-        recipe = tuple(rng.randrange(n_types) for _ in range(rng.randint(1, 5)))
-        specs.append(LotSpec(t, count, recipe))
-    return Scenario("random", 0.1, tuple(machine_types), tuple(specs))
-
-
 class _PrefixCheckingFlocking(FlockingPolicy):
     """Asserts the reshuffle window stays a permuted prefix on every take."""
 
@@ -224,7 +201,7 @@ def _checked_run(scenario, policy, seed, fifo_check):
 def test_criterion_6_invariants_on_randomized_scenarios():
     gen = random.Random(1234)
     for i in range(200):
-        scenario = _random_scenario(gen)
+        scenario = random_scenario(gen)
         seed = 1000 + i
         _checked_run(scenario, BaselinePolicy(), seed, fifo_check=True)
         _checked_run(scenario, _PrefixCheckingFlocking(), seed, fifo_check=False)

@@ -7,6 +7,7 @@ from fabflock import baseline
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import init_run, tick
 
+from reference_engine import reference_choose_batch
 from support import (add_batch, fill_queue, lot, lots_spec, make_batch_wc, make_single_wc,
                      scenario_of, single_type)
 
@@ -76,20 +77,6 @@ class TestChooseBatch:
         add_batch(wc, 0, lot_type=7, size=3)
         choice, action = baseline.choose_batch(lot(7), wc, random.Random(1))
         assert (choice, action) == (0, "join")
-
-
-def reference_choose_batch(item, queues, batch_size, rng):
-    """The scanning ``choose_batch``: every machine's every batch, the
-    partial ones of the lot's type ranked by the lots they still miss."""
-    missing = [(i, batch_size - len(b.lots)) for i, q in enumerate(queues)
-               for b in q.batches if b.lot_type == item.lot_type and len(b.lots) < batch_size]
-    if missing:
-        fewest = min(m for _, m in missing)
-        ties = [i for i, m in missing if m == fewest]
-        return (ties[0] if len(ties) == 1 else rng.choice(ties)), "join"
-    sizes = [q.size for q in queues]
-    shortest = [i for i, n in enumerate(sizes) if n == min(sizes)]
-    return (shortest[0] if len(shortest) == 1 else rng.choice(shortest)), "new"
 
 
 @st.composite

@@ -7,6 +7,11 @@ ten-fold fab, whose first workcenter has 50 machines; replaying a few of
 them here catches a divergence there without a benchmark run. The scenario
 and the digest come from ``bench/run.py``; nothing under ``bench/`` is
 written.
+
+These are pins: they say a run did not change, not that it was right.
+``test_differential.py`` checks whole runs against an independent
+re-implementation instead, on the two-fold fab, where the reference's
+scans stay fast; the pins carry that check to ten-fold size.
 """
 
 import pytest

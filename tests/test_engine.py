@@ -1,5 +1,4 @@
 import gc
-import random
 from collections import Counter
 
 import pytest
@@ -15,7 +14,7 @@ from fabflock.engine import (
 )
 from fabflock.flocking import FlockingPolicy
 from fabflock.model import MultiQueue
-from fabflock.scenario import ScenarioError, build_small_fab
+from fabflock.scenario import ScenarioError, build_small_fab, parse_scenario
 
 from support import batch_type, lots_spec, result_json, scenario_of, single_type
 
@@ -295,11 +294,33 @@ class TestFinishedRunMemory:
 
 class TestLivelockGuard:
     def test_starving_batch_machine_aborts(self):
-        # A size-2 batch with a single lot and an absurd timer never starts;
-        # the guard must fire instead of spinning forever.
+        # A size-2 batch with a single lot starts only when its 10^6-tick
+        # timer expires, at tick 10^6; the guard's 5-tick horizon ends the
+        # run long before, instead of ticking on to it.
         sc = scenario_of([batch_type(rpt=1, bs=2, wt=10 ** 6)], [lots_spec(0, 1, [0])])
         with pytest.raises(SimulationAbort, match="no lot finished"):
             run(sc, BaselinePolicy(), seed=1, horizon_factor=5)
+
+    TIMER_LONGER_THAN_WORK = ("machinetype 0 kind batch count 1 rpt_hours 0.1 bs 2 wt_hours 30\n"
+                              "lottype 0 count 1 recipe 0\n")
+
+    @pytest.mark.parametrize("factor, tick", [(100, 101), (300, 301)])
+    def test_a_timer_outlasting_the_horizon_aborts_a_healthy_run(self, factor, tick):
+        # One lot of 1 tick's work waits out a 300-tick timer: it would
+        # start at tick 300 and finish at 301, past a horizon of 100 or 300
+        # ticks. The message names the timer.
+        state = init_run(parse_scenario(self.TIMER_LONGER_THAN_WORK), BaselinePolicy(), seed=1)
+        with pytest.raises(SimulationAbort, match=(
+                rf"^aborted at tick {tick}: no lot finished since tick 0 \(0/1 lots done\); "
+                rf"the 300-tick waiting timer of machine type 0 is no shorter than the "
+                rf"{factor}-tick horizon")):
+            run_to_completion(state, horizon_factor=factor)
+        assert state.clock == tick
+
+    def test_a_horizon_past_the_timer_lets_the_run_finish(self):
+        result = run(parse_scenario(self.TIMER_LONGER_THAN_WORK), BaselinePolicy(), seed=1,
+                     horizon_factor=301)
+        assert result.makespan == 301
 
     @pytest.mark.parametrize("factor", [0, -5])
     def test_horizon_below_the_work_is_rejected_before_a_tick(self, factor):

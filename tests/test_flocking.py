@@ -1,13 +1,11 @@
 import random
 import signal
-from collections import Counter
 from contextlib import contextmanager
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from fabflock import baseline, flocking, model
+from fabflock import flocking, model
 from fabflock.baseline import BaselinePolicy
 from fabflock.engine import init_run, run_to_completion
 from fabflock.flocking import (
@@ -19,21 +17,24 @@ from fabflock.flocking import (
 )
 from fabflock.metrics import RunResult
 from fabflock.model import Lot, Workcenter
-from fabflock.scenario import build_small_fab
 
+from reference_engine import (
+    compute_pull,
+    reference_reshuffle,
+    reference_separation,
+    same_type_distances,
+)
 from support import (
     batch_type,
     fill_queue,
     lot,
     lots_spec,
+    machine_views,
     make_single_wc,
     scenario_of,
     set_idle,
     set_processing,
 )
-from test_acceptance import _random_scenario
-from test_baseline import reference_choose_batch
-from test_model import reference_separation
 
 
 @contextmanager
@@ -257,63 +258,6 @@ class TestReshuffle:
         assert wc.queues[0].lots[5:] == queued[5:]
 
 
-def same_type_distances(wc, own_index, window_len):
-    """Lot type -> ``first_same_type_distance`` of every other machine that
-    shows the type, in machine order, from one pass over the other machines:
-    the reference for the workcenter's distance index."""
-    distances = {}
-    for other in range(len(wc.machines)):
-        if other == own_index:
-            continue
-        processing = wc.processing_type(other)
-        if processing is not None:
-            distances.setdefault(processing, []).append(0)
-        seen = {processing}
-        for pos, t in enumerate(wc.window_types(other, window_len), start=1):
-            if t not in seen:
-                seen.add(t)
-                distances.setdefault(t, []).append(pos)
-    return distances
-
-
-def compute_pull(own_distance, other_distances):
-    """Pull in {-1, 0, +1}: -1 when the lot sits farther out than the average
-    same-type distance at the other machines, +1 when closer, 0 on a tie or
-    when no other machine contributes. The list form of ``pull_from_totals``
-    that ``reference_reshuffle`` reads."""
-    return pull_from_totals(own_distance, len(other_distances), sum(other_distances))
-
-
-def reference_reshuffle(queue, wc, own_index, rng, window_len):
-    """The per-lot reshuffle: one ``first_same_type_distance`` per (window
-    lot, other machine), then moves located by equality (``list.index``)."""
-    lots = queue.lots
-    w = min(window_len, len(lots))
-    if w <= 1:
-        return
-    pulls = {}
-    for pos, item in enumerate(lots[:w], start=1):
-        distances = []
-        for other in range(len(wc.machines)):
-            if other == own_index:
-                continue
-            d = first_same_type_distance(item.lot_type, wc, other, window_len)
-            if d is not None:
-                distances.append(d)
-        pulls[item.id] = compute_pull(pos, distances)
-    order = lots[:w]
-    rng.shuffle(order)
-    for item in order:
-        pull = pulls.get(item.id, 0)
-        if pull == 0:
-            continue
-        i = lots.index(item)
-        j = min(max(i + pull, 0), w - 1)
-        if j != i:
-            lots.pop(i)
-            lots.insert(j, item)
-
-
 N_TYPES = 4
 
 
@@ -346,7 +290,7 @@ class TestOnePassReshuffle:
     def test_matches_the_per_lot_reference(self, case):
         queues, processing, own, window, seed = case
         wc = _build(queues, processing)
-        distances = same_type_distances(wc, own, window)
+        distances = same_type_distances(machine_views(wc), own, window)
         for lot_type in range(N_TYPES + 1):  # N_TYPES is queued nowhere
             expected = [d for other in range(len(wc.machines)) if other != own
                         and (d := first_same_type_distance(lot_type, wc, other,
@@ -354,14 +298,12 @@ class TestOnePassReshuffle:
             assert distances.get(lot_type, []) == expected
 
         queue = wc.queues[own]
-        before = list(queue.lots)
+        expected = list(queue.lots)
+        ref_rng = random.Random(seed)
+        reference_reshuffle(expected, machine_views(wc), own, ref_rng, window)
         rng = random.Random(seed)
         reshuffle_flsq(queue, wc, own, rng, window)
-        got = list(queue.lots)
-        queue.lots[:] = before
-        ref_rng = random.Random(seed)
-        reference_reshuffle(queue, wc, own, ref_rng, window)
-        assert all(a is b for a, b in zip(got, queue.lots))
+        assert all(a is b for a, b in zip(queue.lots, expected))
         assert rng.getstate() == ref_rng.getstate()
 
 
@@ -372,7 +314,7 @@ def _check_index_against_reference(wc, window):
     for own in range(len(wc.machines)):
         assert maps[own] == {t: d for t in range(N_TYPES) if (
             d := first_same_type_distance(t, wc, own, window)) is not None}
-        reference = same_type_distances(wc, own, window)
+        reference = same_type_distances(machine_views(wc), own, window)
         for t in range(N_TYPES + 1):
             ds = reference.get(t, [])
             own_d = maps[own].get(t)
@@ -415,12 +357,12 @@ class TestDistanceIndex:
             elif op == "reshuffle":
                 i, seed = arg
                 queue = wc.queues[i]
-                expected = SimpleNamespace(lots=list(queue.lots))
+                expected = list(queue.lots)
                 ref_rng = random.Random(seed)
-                reference_reshuffle(expected, wc, i, ref_rng, window)
+                reference_reshuffle(expected, machine_views(wc), i, ref_rng, window)
                 rng = random.Random(seed)
                 reshuffle_flsq(queue, wc, i, rng, window)
-                assert all(a is b for a, b in zip(queue.lots, expected.lots))
+                assert all(a is b for a, b in zip(queue.lots, expected))
                 assert rng.getstate() == ref_rng.getstate()
             elif op == "start" and not wc.machines[arg[0]].current_batch:
                 set_processing(wc, arg[0], arg[1])
@@ -505,93 +447,3 @@ class TestBatchRulesUnderEveryPolicy:
             assert (base.algorithm, flock.algorithm) == ("baseline", "flocking")
             assert [getattr(flock, f) for f in RunResult.__slots__ if f != "algorithm"] \
                 == [getattr(base, f) for f in RunResult.__slots__ if f != "algorithm"]
-
-
-def _clone(rng):
-    copy = random.Random()
-    copy.setstate(rng.getstate())
-    return copy
-
-
-def _checked_choose_batch(seen):
-    """``baseline.choose_batch`` checked on every call against
-    ``reference_choose_batch``, the paper's rule as written, on a clone of
-    the generator; tallies the partial batches of the lot's type the call
-    sees in ``seen`` and fails on two."""
-    real_choose_batch = baseline.choose_batch
-
-    def choose_batch(item, wc, rng):
-        partials = [b for q in wc.queues for b in q.batches
-                    if b.lot_type == item.lot_type and len(b.lots) < wc.mtype.batch_size]
-        assert len(partials) <= 1, f"two partial batches of type {item.lot_type}"
-        seen[f"{len(partials)} partial batches"] += 1
-        scanned = _clone(rng)
-        expected = reference_choose_batch(item, wc.queues, wc.mtype.batch_size, scanned)
-        assert real_choose_batch(item, wc, rng) == expected
-        assert rng.getstate() == scanned.getstate()
-        return expected
-
-    return choose_batch
-
-
-class TestRulesOnLiveRunStates:
-    """The dispatch rules against their scans on the states a run reaches:
-    before each call, the scan runs on a clone of the generator (and, for a
-    reshuffle, on a copy of the queue), and the call must give the same
-    machine, tag or order and leave the generator in the same state."""
-
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_each_call_of_a_small_fab_run_equals_its_scan(self, seed, monkeypatch):
-        seen = Counter()
-        real_separation = flocking.choose_single
-        real_reshuffle = flocking.reshuffle_flsq
-
-        def separation(item, wc, rng):
-            if any(q.size == 0 for q in wc.queues):
-                seen["empty queue"] += 1
-            elif not any(l.lot_type == item.lot_type for q in wc.queues for l in q.lots):
-                seen["unqueued type"] += 1
-            else:
-                seen["walk"] += 1
-            scanned = _clone(rng)
-            expected = reference_separation(item, wc.queues, scanned)
-            assert real_separation(item, wc, rng) == expected
-            assert rng.getstate() == scanned.getstate()
-            return expected
-
-        def reshuffle(queue, wc, own_index, rng, window_len=flocking.DEFAULT_FLSQ_LEN):
-            seen["reshuffle"] += 1
-            expected = SimpleNamespace(lots=list(queue.lots))
-            scanned = _clone(rng)
-            reference_reshuffle(expected, wc, own_index, scanned, window_len)
-            real_reshuffle(queue, wc, own_index, rng, window_len)
-            assert all(a is b for a, b in zip(queue.lots, expected.lots))
-            assert rng.getstate() == scanned.getstate()
-
-        monkeypatch.setattr(flocking, "choose_single", separation)
-        monkeypatch.setattr(baseline, "choose_batch", _checked_choose_batch(seen))
-        monkeypatch.setattr(flocking, "reshuffle_flsq", reshuffle)
-        run_to_completion(init_run(build_small_fab(), FlockingPolicy(), seed))
-        # Every fast path and separation's walk were met; no call saw two
-        # partial batches of its type, which _checked_choose_batch asserts.
-        assert set(seen) == {"unqueued type", "empty queue", "walk", "0 partial batches",
-                             "1 partial batches", "reshuffle"}, seen
-
-    @pytest.mark.parametrize("seed", [3, 11])
-    def test_each_batch_choice_of_a_baseline_small_fab_run_equals_the_rule(
-            self, seed, monkeypatch):
-        seen = Counter()
-        monkeypatch.setattr(baseline, "choose_batch", _checked_choose_batch(seen))
-        run_to_completion(init_run(build_small_fab(), BaselinePolicy(), seed))
-        assert set(seen) == {"0 partial batches", "1 partial batches"}, seen
-
-    def test_each_batch_choice_on_randomized_scenarios_equals_the_rule(self, monkeypatch):
-        # The first 60 of criterion 6's scenarios, with its run seeds.
-        seen = Counter()
-        monkeypatch.setattr(baseline, "choose_batch", _checked_choose_batch(seen))
-        gen = random.Random(1234)
-        for i in range(60):
-            scenario = _random_scenario(gen)
-            for policy in (BaselinePolicy(), FlockingPolicy()):
-                run_to_completion(init_run(scenario, policy, 1000 + i))
-        assert set(seen) == {"0 partial batches", "1 partial batches"}, seen

@@ -6,15 +6,23 @@ function and class it defines is read somewhere in the package, listed in an
 Standard-library stand-ins for a linter's unused-import and dead-code rules,
 so that deleting the last use of a name also deletes its import, and the
 last caller of a definition takes the definition with it.
+
+The test modules must use their imports too. Two boundaries in the tests
+are checked as well: ``reference_engine.py`` imports only the standard
+library, so the differential test compares the engine with code that
+shares nothing with it; and no test module imports another, so shared
+helpers live in ``support.py`` or ``reference_engine.py``.
 """
 
 import ast
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fabflock"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "fabflock"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -45,6 +53,12 @@ def unused_imports(source: str) -> list[str]:
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_every_import_of_a_test_module_is_used():
+    unused = {path.name: names for path in sorted(TESTS.glob("*.py"))
+              if (names := unused_imports(path.read_text(encoding="utf-8")))}
+    assert unused == {}
 
 
 def test_the_check_finds_what_it_should():
@@ -133,3 +147,35 @@ def test_the_definition_check_finds_what_it_should():
     exec(source, namespace)
     assert unused_definitions({"m": source}, {"m": namespace}, {"m.traced"}) == \
         ["m.orphan", "m.Parser.unread", "m.Parser.ghost", "m.Orphan"]
+
+
+def imported_modules(source: str) -> list[str]:
+    """Top-level name of every module ``source`` imports; "." for a
+    relative import."""
+    found: list[str] = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.extend(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            found.append("." if node.level else node.module.split(".")[0])
+    return found
+
+
+def test_the_reference_engine_imports_only_the_standard_library():
+    source = (TESTS / "reference_engine.py").read_text(encoding="utf-8")
+    assert [m for m in imported_modules(source) if m not in sys.stdlib_module_names] == []
+
+
+def test_no_test_module_imports_another():
+    for path in sorted(TESTS.glob("*.py")):
+        imports = imported_modules(path.read_text(encoding="utf-8"))
+        assert [m for m in imports if m.startswith("test_") or m == "conftest"] == [], path.name
+
+
+def test_the_module_check_finds_what_it_should():
+    source = ("import os.path, random\n"
+              "from fabflock.model import Lot\n"
+              "from . import support\n"
+              "def f():\n"
+              "    import fabflock\n")
+    assert imported_modules(source) == ["os", "random", "fabflock", ".", "fabflock"]

@@ -9,7 +9,6 @@ from fabflock.model import (
     Batch,
     ConfigError,
     Lot,
-    Machine,
     MachineKind,
     MachineType,
     MultiQueue,
@@ -18,6 +17,7 @@ from fabflock.model import (
 )
 from fabflock.scenario import build_small_fab
 
+from reference_engine import queue_length, reference_separation, reference_shortest_queue
 from support import add_batch, fill_queue, lot, make_batch_wc, make_single_wc
 
 
@@ -191,12 +191,7 @@ class TestWorkcenterView:
 
 
 # Reference: the scanning reads the queue counters replaced, kept to check them.
-
-def reference_total_len(queue):
-    if queue.owner.mtype.kind is MachineKind.SINGLE_STEP:
-        return len(queue.lots)
-    return sum(len(b.lots) for b in queue.batches)
-
+# The queue length and the dispatch rules' scans are ``reference_engine``'s.
 
 def reference_has_full_batch(queue):
     bs = queue.owner.mtype.batch_size
@@ -210,28 +205,6 @@ def reference_partial_batches(queues, lot_type, batch_size):
             if b.lot_type == lot_type and 0 < len(b.lots) < batch_size:
                 found.append((i, b))
     return found
-
-
-def reference_pick(items, rng):
-    return items[0] if len(items) == 1 else rng.choice(items)
-
-
-def reference_shortest_queue(item, queues, rng):
-    """The scanning ``baseline.choose_single``."""
-    lens = [reference_total_len(q) for q in queues]
-    shortest = min(lens)
-    return reference_pick([i for i, n in enumerate(lens) if n == shortest], rng)
-
-
-def reference_separation(item, queues, rng):
-    """The scanning ``flocking.choose_single``: fewest own-type lots, then
-    the shortest queue."""
-    counts = [sum(l.lot_type == item.lot_type for l in q.lots) for q in queues]
-    least = min(counts)
-    candidates = [i for i, c in enumerate(counts) if c == least]
-    lens = [reference_total_len(q) for q in queues]
-    shortest = min(lens[i] for i in candidates)
-    return reference_pick([i for i in candidates if lens[i] == shortest], rng)
 
 
 def reference_add_lot(batches, item, batch_size):
@@ -289,11 +262,11 @@ class TestQueueCountersMatchRecount:
                     assert [(b.lot_type, [l.id for l in b.lots]) for b in q.batches] == expected
                 else:
                     assert [l.id for l in q.lots] == expected
-                assert q.total_len() == reference_total_len(q)
-                assert q.is_empty() == (reference_total_len(q) == 0)
+                assert q.total_len() == queue_length(q)
+                assert q.is_empty() == (queue_length(q) == 0)
                 assert q.has_full_batch() == reference_has_full_batch(q)
             assert wc.index.type_counts == recount_type_counts(wc)
-            assert [q.size for q in wc.queues] == [reference_total_len(q) for q in wc.queues]
+            assert [q.size for q in wc.queues] == [queue_length(q) for q in wc.queues]
             item = lot(arriving)
             for rule, reference in ((baseline.choose_single, reference_shortest_queue),
                                     (flocking.choose_single, reference_separation)):
@@ -302,7 +275,7 @@ class TestQueueCountersMatchRecount:
                 assert live.getstate() == scanned.getstate()
             buckets = {}
             for k, q in enumerate(wc.queues):
-                buckets.setdefault(reference_total_len(q), []).append(k)
+                buckets.setdefault(queue_length(q), []).append(k)
             assert wc.index.buckets == buckets
             for t in range(N_TYPES):
                 entry = wc.index.partials.get(t)
