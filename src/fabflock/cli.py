@@ -57,11 +57,12 @@ def make_policy(name: str, flsq_len: int = DEFAULT_FLSQ_LEN) -> BaselinePolicy:
 
 
 def load_scenario(source: str) -> Scenario:
-    """Builtin name or path to a scenario file."""
+    """Builtin name or path to a scenario file, UTF-8 with or without a
+    leading byte-order mark."""
     if source == "smallfab":
         return build_small_fab()
     try:
-        text = Path(source).read_text(encoding="utf-8")
+        text = Path(source).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -208,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--scenario", default="smallfab",
                         help="scenario file path or the builtin 'smallfab' (default)")
     parser.add_argument("--algorithm", action="append", choices=ALGORITHM_NAMES,
-                        metavar="{baseline,flocking}",
                         help="scheduler to run; repeatable, each name once "
                              "(default: both)")
     parser.add_argument("--runs", type=int, default=50,

@@ -46,10 +46,13 @@ each decision the ``model.Workcenter`` it is taken at, the one held in
 ``state.workcenters``. The batch rules are looked up on the ``baseline``
 module at call time, so a wrapper installed there (``bench/run.py`` traces
 them) sees every call. ``choose_batch`` also tags its choice "join" or
-"new"; the engine receives that tag and drops it. The initial dispatch of
-``init_run`` runs the same loop as phase 2. No code in the package calls
-``next_step`` or ``Workcenter.view``; the engine keeps both names only
+"new"; the engine receives that tag and drops it. No code in the package
+calls ``next_step`` or ``Workcenter.view``; the engine keeps both names only
 because ``bench/run.py`` ``SITES`` traces them.
+
+``init_run`` starts a run: ``SimState(scenario, policy, seed)`` sets every
+field of the fresh run, and the initial dispatch runs phase 2's loop over
+the lots in a seeded random order.
 """
 
 from __future__ import annotations
@@ -68,7 +71,6 @@ from .model import (
     Machine,
     MachineKind,
     MultiQueue,
-    Recipe,
     Workcenter,  # bench/run.py SITES also traces engine.Workcenter.view
     next_step,  # noqa: F401  (bench/run.py traces it under engine.next_step)
 )
@@ -89,31 +91,35 @@ Slot = tuple[Workcenter, Machine, MultiQueue]
 
 
 class SimState:
-    """Live state of one run, from tick ``clock`` on. ``lots`` lists every
-    lot in id order and ``finished`` the finished lots in finishing order;
+    """Live state of one run, from tick ``clock`` on. The constructor
+    validates the scenario, raising ScenarioError before it builds anything,
+    and sets every field of a fresh run: tick 0, no lot queued yet
+    (``init_run`` queues them), one workcenter per machine type in id order.
+    ``lots`` lists every lot in id order, ids counting up in lot-type-id
+    order, and ``finished`` the finished lots in finishing order;
     ``last_finish_tick`` is the tick the last of them finished at (0 before
     any). ``slots`` lists every machine in workcenter-id then machine-index
-    order, the order every tick phase visits them in; the constructor builds
-    it once."""
+    order, the order every tick phase visits them in."""
 
     __slots__ = ("scenario", "policy", "seed", "rng", "workcenters", "lots", "recipes",
                  "clock", "finished", "last_finish_tick", "slots")
 
-    def __init__(self, scenario: Scenario, policy: BaselinePolicy, seed: int,
-                 rng: random.Random, workcenters: dict[int, Workcenter], lots: list[Lot],
-                 recipes: dict[int, Recipe]):
+    def __init__(self, scenario: Scenario, policy: BaselinePolicy, seed: int):
+        scenario.validate()
         self.scenario = scenario
         self.policy = policy
         self.seed = seed
-        self.rng = rng
-        self.workcenters = workcenters
-        self.lots = lots
-        self.recipes = recipes
+        self.rng = random.Random(seed)
+        self.workcenters = {mt.id: Workcenter(mt)
+                            for mt in sorted(scenario.machine_types, key=lambda m: m.id)}
+        types = [ls.id for ls in sorted(scenario.lot_specs, key=lambda s: s.id)
+                 for _ in range(ls.count)]
+        self.lots = [Lot(id=i, lot_type=t) for i, t in enumerate(types)]
+        self.recipes = scenario.recipes()
         self.clock = 0
         self.finished: list[Lot] = []
         self.last_finish_tick = 0
-        self.slots: list[Slot] = [(wc, m, q)
-                                  for _, wc in sorted(workcenters.items())
+        self.slots: list[Slot] = [(wc, m, q) for wc in self.workcenters.values()
                                   for m, q in zip(wc.machines, wc.queues)]
 
 
@@ -151,23 +157,13 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
 def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
     """Fresh simulation at tick 0 with every lot queued at its first step.
 
-    Lots are dispatched in a seeded random order through phase 2's queue
-    choice. Rejects scenarios whose recipes reference unknown machine types.
+    Builds the ``SimState``, which rejects an invalid scenario, such as one
+    whose recipes reference unknown machine types, then dispatches the lots
+    in a seeded random order through phase 2's queue choice.
     """
-    scenario.validate()
-    rng = random.Random(seed)
-    workcenters = {mt.id: Workcenter(mt)
-                   for mt in sorted(scenario.machine_types, key=lambda m: m.id)}
-
-    lots: list[Lot] = []
-    for ls in sorted(scenario.lot_specs, key=lambda s: s.id):
-        for _ in range(ls.count):
-            lots.append(Lot(id=len(lots), lot_type=ls.id))
-
-    state = SimState(scenario=scenario, policy=policy, seed=seed, rng=rng,
-                     workcenters=workcenters, lots=lots, recipes=scenario.recipes())
-    order = list(lots)
-    shuffle(order, rng)
+    state = SimState(scenario, policy, seed)
+    order = list(state.lots)
+    shuffle(order, state.rng)
     _dispatch(state, order, clock=0)
     return state
 

@@ -344,8 +344,8 @@ class Workcenter:
     machines: the shortest queues are ``index.buckets[min(index.buckets)]``,
     the machines queueing a lot type and how many lots of it each queues are
     ``index.type_counts``, and the partial batch of a type, if any, is
-    ``index.partials``. Queue lengths are read per machine (``queue_len``)
-    or from the buckets.
+    ``index.partials``. Queue lengths are read per queue (``size``) or from
+    the buckets.
 
     ``track_lot_types`` builds the lot-type state (``index.type_counts`` and
     ``index.changed``) on its first call; ``type_count`` and

@@ -192,7 +192,7 @@ def _checked_run(scenario, policy, seed, fifo_check):
                         assert times == sorted(times), "FIFO order broken"
     else:
         raise AssertionError("run did not terminate")
-    rpt = {ls.id: scenario.rpt_ticks(ls.id) for ls in scenario.lot_specs}
+    rpt = scenario.rpt_by_type()
     for done in state.finished:
         assert done.finish_time == done.total_queue_ticks + rpt[done.lot_type]
     return state

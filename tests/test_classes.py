@@ -3,7 +3,6 @@ loads no class-generation machinery, a misspelt attribute cannot be set, the
 records compare by value and are read-only, and the runtime state compares
 by identity."""
 
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -42,7 +41,7 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 def _runtime_objects():
     wc = make_batch_wc(1)
     lot = Lot(id=0, lot_type=3)
-    state = SimState(build_small_fab(), BaselinePolicy(), 1, random.Random(1), {}, [], {})
+    state = SimState(build_small_fab(), BaselinePolicy(), 1)
     return [lot, Batch(3, [lot]), wc.machines[0], wc.queues[0], wc, state]
 
 

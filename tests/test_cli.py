@@ -179,12 +179,17 @@ class TestExitCodes:
         ("horizon_factor", 0, "baseline"),    # used to abort at tick 2
         ("horizon_factor", -5, "baseline"),
     ])
-    def test_setting_below_one_rejected_before_output(self, tmp_path, setting, value,
+    def test_setting_below_one_rejected_before_output(self, tmp_path, capsys, setting, value,
                                                       algorithm):
         out = tmp_path / "r"
         with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
             cli.run_experiment(cli.load_scenario("smallfab"), [algorithm], runs=2,
                                base_seed=1, out_dir=out, **{setting: value})
+        assert not out.exists()
+        flag = "--" + setting.replace("_", "-")
+        assert cli.main([flag, str(value), "--algorithm", algorithm, "--runs", "2",
+                         "--out", str(out)]) == 1
+        assert f"error: {flag} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
     def test_repeated_algorithm_is_usage_error(self, tiny_path, tmp_path, capsys):
@@ -241,6 +246,22 @@ class TestExitCodes:
         path.write_bytes("scenario caf\u00e9\n".encode("latin-1"))
         assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_scenario_file_with_a_byte_order_mark_runs(self, tiny_path, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(TINY.encode("utf-8-sig"))
+        argv = ["--runs", "2", "--algorithm", "flocking"]
+        assert cli.main(argv + ["--scenario", str(path), "--out", str(tmp_path / "a")]) == 0
+        assert cli.main(argv + ["--scenario", str(tiny_path), "--out", str(tmp_path / "b")]) == 0
+        assert (tmp_path / "a" / "runs.csv").read_bytes() == \
+            (tmp_path / "b" / "runs.csv").read_bytes()
+
+    def test_non_utf8_byte_after_a_byte_order_mark_is_named_at_its_file_offset(
+            self, tmp_path, capsys):
+        path = tmp_path / "bom_latin1.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + "scenario caf\u00e9\n".encode("latin-1"))
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
+        assert "not UTF-8 text (invalid continuation byte at byte 15)" in capsys.readouterr().err
 
     def test_stdout_closed_before_last_line_exits_1(self, tiny_path, tmp_path,
                                                     monkeypatch, capsys):
@@ -318,6 +339,35 @@ utilization             0.6936        0.6948           -0.18
 """
 
 
+#: ``python -m fabflock --help`` at a width of 80 columns. argparse derives
+#: the ``--algorithm`` choices from ``cli.ALGORITHM_NAMES``.
+HELP_80_COLUMNS = """\
+usage: fabflock [-h] [--scenario SCENARIO] [--algorithm {baseline,flocking}]
+                [--runs RUNS] [--seed SEED] [--flsq-len FLSQ_LEN]
+                [--hist-bin HIST_BIN] [--out OUT]
+                [--horizon-factor HORIZON_FACTOR]
+
+Job-shop plant simulator and scheduler benchmark.
+
+options:
+  -h, --help            show this help message and exit
+  --scenario SCENARIO   scenario file path or the builtin 'smallfab' (default)
+  --algorithm {baseline,flocking}
+                        scheduler to run; repeatable, each name once (default:
+                        both)
+  --runs RUNS           replications per algorithm, 1 to 10000 (default 50)
+  --seed SEED           base seed, >= 0; replication r uses seed+r (default 1)
+  --flsq-len FLSQ_LEN   flocking reshuffle window length (default 5)
+  --hist-bin HIST_BIN   histogram bin width in ticks (default 10)
+  --out OUT             output directory (default ./results)
+  --horizon-factor HORIZON_FACTOR
+                        livelock guard: abort after this many times the total
+                        work content passes without a finish; a waiting timer
+                        as long as that aborts a healthy run, so raise it for
+                        long timers (default 100)
+"""
+
+
 class TestPrintedTable:
     def test_smallfab_table_is_pinned(self, tmp_path, capsys):
         out = tmp_path / "results"
@@ -325,6 +375,10 @@ class TestPrintedTable:
         table, _, last = capsys.readouterr().out.rpartition("results written to ")
         assert table == SMALLFAB_RUNS_2_TABLE
         assert last == f"{out.resolve()}\n"
+
+    def test_help_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        assert cli.build_parser().format_help() == HELP_80_COLUMNS
 
 
 class TestMakePolicy:

@@ -116,7 +116,7 @@ class TestInitRun:
         assert sum(len(q.lots) for q in wc0.queues) == 105
         for type_id, wc in state.workcenters.items():
             if type_id != 0:
-                assert all(q.is_empty() for q in wc.queues)
+                assert all(q.size == 0 for q in wc.queues)
 
     def test_same_seed_same_initial_queues(self):
         a = init_run(build_small_fab(), BaselinePolicy(), seed=42)
@@ -136,6 +136,17 @@ class TestInitRun:
         sc = scenario_of([single_type(0)], [lots_spec(0, 1, [0, 9])])
         with pytest.raises(Exception, match="unknown machine type"):
             init_run(sc, BaselinePolicy(), seed=1)
+
+    def test_state_rejects_an_invalid_scenario_before_building_anything(self, monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("built from a scenario not yet validated")
+
+        monkeypatch.setattr(engine, "Workcenter", build)
+        monkeypatch.setattr(engine, "Lot", build)
+        sc = scenario_of([single_type(0)], [lots_spec(0, 1, [0, 9])])
+        with pytest.raises(ScenarioError,
+                           match="^lot type 0: recipe references unknown machine type 9$"):
+            engine.SimState(sc, BaselinePolicy(), 1)
 
     def test_rejects_scenario_beyond_a_size_limit(self):
         # Built in code, so no parser saw it; running it would not end.

@@ -82,7 +82,8 @@ class TestChooseSingle:
             for i in range(3):
                 fill_queue(wc, i, [rng.randrange(4) for _ in range(rng.randrange(6))])
             probe = lot(rng.randrange(4))
-            counts = [wc.type_count(i, probe.lot_type) for i in range(3)]
+            held = wc.track_lot_types().type_counts.get(probe.lot_type, {})
+            counts = [held.get(i, 0) for i in range(3)]
             choice = flocking.choose_single(probe, wc, rng)
             assert counts[choice] == min(counts)
 
@@ -408,6 +409,10 @@ class TestDistanceIndex:
 
 
 class TestTakeSingle:
+    def test_policy_rejects_an_empty_window(self):
+        with pytest.raises(ValueError, match="^flsq_len must be >= 1$"):
+            FlockingPolicy(flsq_len=0)
+
     def test_empty_queue(self):
         wc = make_single_wc(2)
         flocking.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))

@@ -45,17 +45,17 @@ class TestQueueTotalLen:
         wc = make_batch_wc(1)
         add_batch(wc, 0, lot_type=0, size=2)
         add_batch(wc, 0, lot_type=1, size=4)
-        assert wc.queues[0].total_len() == 6
+        assert wc.queues[0].size == 6
 
     def test_empty(self):
         wc = make_batch_wc(1)
-        assert wc.queues[0].total_len() == 0
-        assert make_single_wc(1).queues[0].total_len() == 0
+        assert wc.queues[0].size == 0
+        assert make_single_wc(1).queues[0].size == 0
 
     def test_single_step_counts_lots(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [0] * 7)
-        assert wc.queues[0].total_len() == 7
+        assert wc.queues[0].size == 7
 
 
 class TestQueueStartsEmpty:
@@ -97,6 +97,10 @@ class TestMachineTypeValidation:
     def test_machine_count_at_least_one(self):
         with pytest.raises(ConfigError):
             MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, machine_count=0)
+
+    def test_batch_waiting_timer_not_negative(self):
+        with pytest.raises(ConfigError, match="^machine type 0: wt_ticks must be >= 0$"):
+            MachineType(0, MachineKind.BATCH, raw_process_ticks=1, batch_size=2, wt_ticks=-1)
 
     def test_kind_must_be_a_machine_kind(self):
         # The engine arms a waiting timer only for MachineKind.BATCH, while
@@ -156,7 +160,7 @@ class TestMultiQueueAddLot:
             assert all(1 <= len(b.lots) <= 4 for b in queue.batches)
             assert len(partial) == (1 if n % 4 else 0)
             assert wc.index.partials.get(2) == ((0, partial[0]) if partial else None)
-        assert queue.total_len() == 10
+        assert queue.size == 10
 
     def test_single_step_queue_keeps_lots_not_batches(self):
         wc = make_single_wc(1)
@@ -168,18 +172,30 @@ class TestMultiQueueAddLot:
         assert wc.index.partials == {}
 
 
+class TestMultiQueueRemoveBatch:
+    def test_refuses_a_batch_of_another_queue_unchanged(self):
+        wc = make_batch_wc(2, bs=4)
+        add_batch(wc, 0, lot_type=1, size=4)
+        other = add_batch(wc, 1, lot_type=2, size=2)
+        with pytest.raises(ValueError, match="^batch not in this queue$"):
+            wc.queues[0].remove_batch(other)
+        assert [q.size for q in wc.queues] == [4, 2]
+        assert wc.index.partials == {2: (1, other)}
+
+
 class TestWorkcenterView:
     def test_partial_batches_excludes_full_and_other_types(self):
         wc = make_batch_wc(2, bs=4)
         add_batch(wc, 0, lot_type=1, size=4)  # full
         wanted = add_batch(wc, 0, lot_type=1, size=2)
         add_batch(wc, 1, lot_type=2, size=3)  # other type
-        assert wc.partial_batches(1) == [(0, wanted)]
+        assert wc.index.partials[1] == (0, wanted)
 
     def test_type_count_and_window(self):
         wc = make_single_wc(1)
         fill_queue(wc, 0, [3, 1, 3, 2, 3, 3])
-        assert wc.type_count(0, 3) == 4
+        wc.track_lot_types()
+        assert wc.index.type_counts[3][0] == 4
         assert wc.window_types(0, 4) == [3, 1, 3, 2]
 
     def test_processing_type(self):
@@ -262,9 +278,7 @@ class TestQueueCountersMatchRecount:
                     assert [(b.lot_type, [l.id for l in b.lots]) for b in q.batches] == expected
                 else:
                     assert [l.id for l in q.lots] == expected
-                assert q.total_len() == queue_length(q)
-                assert q.is_empty() == (queue_length(q) == 0)
-                assert q.has_full_batch() == reference_has_full_batch(q)
+                assert bool(q.full_batches()) == reference_has_full_batch(q)
             assert wc.index.type_counts == recount_type_counts(wc)
             assert [q.size for q in wc.queues] == [queue_length(q) for q in wc.queues]
             item = lot(arriving)

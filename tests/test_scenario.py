@@ -76,8 +76,9 @@ class TestSmallFab:
 
     def test_work_content_is_84_ticks_for_every_type(self):
         sc = build_small_fab()
+        rpt = sc.rpt_by_type()
         for ls in sc.lot_specs:
-            assert sc.rpt_ticks(ls.id) == 84  # 12 x 2 + 4 x 15
+            assert rpt[ls.id] == 84  # 12 x 2 + 4 x 15
 
     def test_round_trips_through_the_file_format(self):
         sc = build_small_fab()
@@ -259,6 +260,31 @@ class TestParse:
             parse_scenario(text)
         assert str(in_file.value) == f"line {line_no}: {in_code.value}"
 
+    @pytest.mark.parametrize("text, message", [
+        ("scenario x\nmachinetype 0 kind single count\n",
+         "line 2: machinetype takes key/value pairs"),
+        ("machinetype 0 kind single count 1 count 2 rpt_hours 0.2\n",
+         "line 1: duplicate key 'count'"),
+        ("scenario x\nmachinetype 0 kind triple count 1 rpt_hours 0.2\n",
+         "line 2: kind must be 'single' or 'batch'"),
+        ("machinetype 0 kind single rpt_hours 0.2\n",
+         "line 1: machinetype needs count and rpt_hours"),
+        ("scenario x\nmachinetype 0 kind single count 1\n",
+         "line 2: machinetype needs count and rpt_hours"),
+        ("machinetype 0 kind single count 1 rpt_hours 0.2 speed 3 colour red\n",
+         "line 1: unknown keys ['colour', 'speed']"),
+        ("scenario x\ntick_hours 0\n", "line 2: tick_hours must be positive"),
+        ("scenario a\n" + _ONE_MACHINE + "scenario b\n", "line 3: scenario name given twice"),
+        ("scenario x\nmachinetype 0 kind single count 1 rpt_hours fast\n",
+         "line 2: rpt_hours must be a number, got 'fast'"),
+    ], ids=["odd_key_value_count", "duplicate_key", "unknown_kind", "missing_count",
+            "missing_rpt_hours", "unknown_keys", "zero_tick_hours", "second_scenario_line",
+            "non_numeric_float"])
+    def test_a_malformed_line_is_rejected_with_its_line(self, text, message):
+        with pytest.raises(ScenarioError) as rejected:
+            parse_scenario(text)
+        assert str(rejected.value) == message
+
     def test_comments_and_blank_lines_ignored(self):
         text = "\n# comment\nmachinetype 0 kind single count 1 rpt_hours 0.2  # trailing\n\n"
         sc = parse_scenario(text)
@@ -338,6 +364,14 @@ class TestValidateRejectsWhatTheFileCannotHold:
         sc = Scenario("x", 0.1, (MachineType(0, MachineKind.SINGLE_STEP, 1),), (spec,))
         with pytest.raises(ScenarioError, match="int"):
             sc.validate()
+
+    def test_empty_recipe_rejected_in_code(self):
+        # A file cannot write an empty recipe: its lottype line would not parse.
+        sc = Scenario("x", 0.1, (_single(0),), (LotSpec(0, 1, ()),))
+        with pytest.raises(ScenarioError) as rejected:
+            sc.validate()
+        assert str(rejected.value) == "lot type 0: recipe must not be empty"
+        assert rejected.value.record == 1
 
     @pytest.mark.parametrize("tick_hours", [float("nan"), float("inf"), True])
     def test_tick_hours_must_be_a_finite_number(self, tick_hours):
