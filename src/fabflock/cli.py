@@ -2,8 +2,9 @@
 
 Runs N seeded replications per algorithm over one scenario, writes per-run,
 aggregate, histogram, and comparison CSVs, and prints a comparison table.
-Each ``--algorithm`` may be given once; a repeated name is a usage error,
-and so is ``--runs`` outside 1..``MAX_RUNS``.
+``run_experiment`` owns every rule on a run's settings and raises
+``UsageError`` for a setting that breaks one; ``main`` loads the scenario
+first, then prints that error with the usage line and exits 1.
 Exit codes: 0 success, 1 usage or output error (a closed stdout included),
 2 scenario error, 3 simulation abort.
 """
@@ -23,7 +24,7 @@ from .engine import DEFAULT_HORIZON_FACTOR, SimulationAbort, init_run, run_to_co
 from .flocking import DEFAULT_FLSQ_LEN, FlockingPolicy
 from .metrics import DEFAULT_HIST_BIN, MetricsSummary, RunResult, histogram_from_times, summarize
 from .model import ConfigError
-from .scenario import Scenario, ScenarioError, build_small_fab, parse_scenario
+from .scenario import MAX_FILE_BYTES, Scenario, ScenarioError, build_small_fab, parse_scenario
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -57,12 +58,16 @@ def make_policy(name: str, flsq_len: int = DEFAULT_FLSQ_LEN) -> BaselinePolicy:
 
 
 def load_scenario(source: str) -> Scenario:
-    """Builtin name or path to a scenario file, UTF-8 with or without a
-    leading byte-order mark."""
+    """Builtin name or path to a scenario file of at most ``MAX_FILE_BYTES``
+    bytes, UTF-8 with or without a leading byte-order mark."""
     if source == "smallfab":
         return build_small_fab()
+    with open(source, "rb") as f:
+        data = f.read(MAX_FILE_BYTES + 1)
+    if len(data) > MAX_FILE_BYTES:
+        raise ScenarioError(f"{source}: more than {MAX_FILE_BYTES} bytes")
     try:
-        text = Path(source).read_text(encoding="utf-8").removeprefix("\ufeff")
+        text = data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise ScenarioError(
             f"{source}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
@@ -117,25 +122,25 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     across algorithms and making any single run re-executable in isolation.
     When ``table`` is given, the comparison table is also printed to it once
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
-    replication order. Raises ValueError, before touching ``out_dir``, when
-    no algorithm is given, a name repeats or is unknown (a ``UsageError``),
-    ``runs`` lies outside 1..``MAX_RUNS``, ``base_seed`` is negative
-    (``random.Random`` seeds with the absolute value, so seeds -1 and 1
-    would run the same replication), or ``flsq_len``, ``hist_bin`` or
-    ``horizon_factor`` is below 1.
+    replication order. Raises ``UsageError``, before touching ``out_dir``,
+    when no algorithm is given, a name repeats or is unknown, ``runs`` lies
+    outside 1..``MAX_RUNS``, ``base_seed`` is negative (``random.Random``
+    seeds with the absolute value, so seeds -1 and 1 would run the same
+    replication), or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is
+    below 1.
     """
     if not algorithms:
-        raise ValueError("at least one algorithm must run")
+        raise UsageError("at least one algorithm must run")
     if len(set(algorithms)) < len(algorithms):
-        raise ValueError(f"each algorithm may run once, got {algorithms}")
+        raise UsageError(f"each algorithm may run once, got {algorithms}")
     if not 1 <= runs <= MAX_RUNS:
-        raise ValueError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
+        raise UsageError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
     if base_seed < 0:
-        raise ValueError(f"base_seed must be >= 0, got {base_seed}")
+        raise UsageError(f"base_seed must be >= 0, got {base_seed}")
     for name, value in (("flsq_len", flsq_len), ("hist_bin", hist_bin),
                         ("horizon_factor", horizon_factor)):
         if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+            raise UsageError(f"{name} must be >= 1, got {value}")
     policies = {name: make_policy(name, flsq_len) for name in algorithms}
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -233,37 +238,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if not 1 <= args.runs <= MAX_RUNS:
-            raise UsageError(f"--runs must lie in 1..{MAX_RUNS}")
-        if args.seed < 0:
-            raise UsageError("--seed must be >= 0")
-        if args.flsq_len < 1:
-            raise UsageError("--flsq-len must be >= 1")
-        if args.hist_bin < 1:
-            raise UsageError("--hist-bin must be >= 1")
-        if args.horizon_factor < 1:
-            raise UsageError("--horizon-factor must be >= 1")
-        algorithms = args.algorithm or list(ALGORITHM_NAMES)
-        for name in algorithms:
-            if algorithms.count(name) > 1:
-                raise UsageError(f"--algorithm {name} given more than once")
+        try:
+            scenario = load_scenario(args.scenario)
+        except (ConfigError, OSError) as exc:
+            print(f"scenario error: {exc}", file=sys.stderr)
+            return EXIT_SCENARIO
+        run_experiment(scenario, args.algorithm or list(ALGORITHM_NAMES), args.runs,
+                       args.seed, args.out, flsq_len=args.flsq_len, hist_bin=args.hist_bin,
+                       horizon_factor=args.horizon_factor, table=sys.stdout)
+        print(f"results written to {Path(args.out).resolve()}")
+        sys.stdout.flush()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-
-    try:
-        scenario = load_scenario(args.scenario)
-    except (ConfigError, OSError) as exc:
-        print(f"scenario error: {exc}", file=sys.stderr)
-        return EXIT_SCENARIO
-
-    try:
-        run_experiment(scenario, algorithms, args.runs, args.seed, args.out,
-                       flsq_len=args.flsq_len, hist_bin=args.hist_bin,
-                       horizon_factor=args.horizon_factor, table=sys.stdout)
-        print(f"results written to {Path(args.out).resolve()}")
-        sys.stdout.flush()
     except SimulationAbort as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_SIM

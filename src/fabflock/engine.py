@@ -124,16 +124,17 @@ class SimState:
 
 
 def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
-    """Phase 2 after the shuffle, and the initial dispatch: in list order, a
-    lot whose cursor is past its recipe finishes at ``clock``, and every
-    other lot joins a queue at the workcenter of its next step, the one
-    ``baseline.choose_batch`` picks at a batch workcenter, arming the
-    waiting timer of a queue it makes nonempty, and otherwise the one the
-    policy's ``choose_single`` picks."""
+    """Phase 2, and the initial dispatch: shuffles ``lots`` in place, then,
+    in that order, a lot whose cursor is past its recipe finishes at
+    ``clock``, and every other lot joins a queue at the workcenter of its
+    next step, the one ``baseline.choose_batch`` picks at a batch
+    workcenter, arming the waiting timer of a queue it makes nonempty, and
+    otherwise the one the policy's ``choose_single`` picks."""
     recipes = state.recipes
     workcenters = state.workcenters
     policy = state.policy
     rng = state.rng
+    shuffle(lots, rng)
     for lot in lots:
         recipe = recipes[lot.lot_type]
         cursor = lot.step_cursor
@@ -162,9 +163,7 @@ def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
     in a seeded random order through phase 2's queue choice.
     """
     state = SimState(scenario, policy, seed)
-    order = list(state.lots)
-    shuffle(order, state.rng)
-    _dispatch(state, order, clock=0)
+    _dispatch(state, list(state.lots), clock=0)
     return state
 
 
@@ -196,7 +195,6 @@ def tick(state: SimState) -> SimState:
 
     # 2: finish or dispatch to next queues, in shuffled order
     if released:
-        shuffle(released, rng)
         _dispatch(state, released, clock)
 
     # 3: idle machines try to start; the shuffled list holds every idle
@@ -271,7 +269,6 @@ def run_to_completion(state: SimState, horizon_factor: int = DEFAULT_HORIZON_FAC
     return RunResult(
         algorithm=state.policy.name,
         seed=state.seed,
-        machine_count=len(state.slots),
         makespan=state.last_finish_tick,
         lots=records,
         busy_ticks=busy,

@@ -20,15 +20,15 @@ class LotRecord(Record):
 
 
 class RunResult(Record):
-    """Everything one replication produced."""
+    """Everything one replication produced: ``lots`` in lot-id order, and
+    ``busy_ticks`` one entry per machine, keyed by its label."""
 
-    __slots__ = ("algorithm", "seed", "machine_count", "makespan", "lots", "busy_ticks")
+    __slots__ = ("algorithm", "seed", "makespan", "lots", "busy_ticks")
 
-    def __init__(self, algorithm: str, seed: int, machine_count: int, makespan: int,
+    def __init__(self, algorithm: str, seed: int, makespan: int,
                  lots: tuple[LotRecord, ...], busy_ticks: dict[str, int]):
         _set(self, "algorithm", algorithm)
         _set(self, "seed", seed)
-        _set(self, "machine_count", machine_count)
         _set(self, "makespan", makespan)
         _set(self, "lots", lots)
         _set(self, "busy_ticks", busy_ticks)
@@ -67,9 +67,9 @@ def tardiness(result: RunResult) -> float:
 def utilization(result: RunResult) -> float:
     """Busy machine-ticks over machine count x makespan."""
     span = result.makespan
-    if span <= 0 or result.machine_count == 0:
+    if span <= 0 or not result.busy_ticks:
         return 0.0
-    return sum(result.busy_ticks.values()) / (result.machine_count * span)
+    return sum(result.busy_ticks.values()) / (len(result.busy_ticks) * span)
 
 
 #: Width in ticks of one finish-time histogram bin.

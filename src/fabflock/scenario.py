@@ -33,12 +33,12 @@ class ScenarioError(ConfigError):
         self.record = record
 
 
-# Size limits on a scenario. They bound the machines and lots a run holds in
-# memory, each process and timer duration, and the work content that the
-# livelock horizon is a multiple of, so no single huge number in a file or in
-# code can keep the tick loop running without end. Each lies far above the
-# small fab scaled ten times (190 machines, 1050 lots, 15-tick steps, 88,200
-# work ticks).
+# Size limits on a scenario. They bound the bytes read from a file, the
+# machines and lots a run holds in memory, each process and timer duration,
+# and the work content that the livelock horizon is a multiple of, so no
+# single huge number in a file or in code can keep the tick loop running
+# without end. Each lies far above the small fab scaled ten times (190
+# machines, 1050 lots, 15-tick steps, 88,200 work ticks).
 #: Ticks of one process or waiting-timer duration.
 MAX_STEP_TICKS = 1_000_000
 #: Machines summed over all machine types.
@@ -47,6 +47,9 @@ MAX_MACHINES = 10_000
 MAX_LOTS = 100_000
 #: Total work content: raw process ticks summed over every lot's recipe.
 MAX_WORK_TICKS = 10_000_000
+#: Bytes of one scenario file; a paper-size plant (100 x 12 machines, 1500
+#: products of 300 steps) takes about 1.35 MB.
+MAX_FILE_BYTES = 64 * 2**20
 
 
 class LotSpec(Record):

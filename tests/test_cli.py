@@ -116,6 +116,64 @@ class TestMain:
         assert len(rows) == 1
 
 
+#: The ``main`` flag that passes on each ``run_experiment`` setting.
+SETTING_FLAGS = {"runs": "--runs", "base_seed": "--seed", "flsq_len": "--flsq-len",
+                 "hist_bin": "--hist-bin", "horizon_factor": "--horizon-factor"}
+
+#: Per bad setting other than ``runs`` and ``base_seed``, which have tests of
+#: their own below: the ``run_experiment`` arguments that break one rule, the
+#: message it raises, and whether ``main`` can pass them on. No flag gives an
+#: empty algorithm list, and argparse rejects an unknown ``--algorithm`` itself.
+BAD_SETTINGS = {
+    "flsq_len-0": ({"algorithms": ["flocking"], "flsq_len": 0},
+                   "flsq_len must be >= 1, got 0", True),
+    "hist_bin-0": ({"hist_bin": 0}, "hist_bin must be >= 1, got 0", True),
+    "horizon_factor-0": ({"horizon_factor": 0}, "horizon_factor must be >= 1, got 0", True),
+    "horizon_factor--5": ({"horizon_factor": -5}, "horizon_factor must be >= 1, got -5", True),
+    "algorithms-repeated": ({"algorithms": ["flocking", "flocking"]},
+                            "each algorithm may run once, got ['flocking', 'flocking']", True),
+    "algorithms-empty": ({"algorithms": []}, "at least one algorithm must run", False),
+    "algorithms-unknown": ({"algorithms": ["baseline", "bogus"]},
+                           "unknown algorithm 'bogus'; valid names: baseline, flocking", False),
+}
+
+
+def runs_message(runs):
+    return f"runs must lie in 1..{cli.MAX_RUNS}, got {runs}"
+
+
+def with_defaults(settings):
+    """``settings`` on top of one baseline run at seed 1."""
+    return {"algorithms": ["baseline"], "runs": 1, "base_seed": 1, **settings}
+
+
+def assert_api_usage_error(tiny_path, out, message, settings):
+    """``run_experiment`` on the tiny scenario with ``settings`` raises
+    ``UsageError`` with exactly ``message`` and creates no ``out``."""
+    with pytest.raises(cli.UsageError) as caught:
+        cli.run_experiment(cli.load_scenario(str(tiny_path)), out_dir=out,
+                           **with_defaults(settings))
+    assert str(caught.value) == message
+    assert not out.exists()
+
+
+def assert_main_usage_error(tiny_path, out, capsys, message, settings):
+    """``main`` on the tiny scenario with the flags for ``settings`` exits 1;
+    its stderr is ``error: message`` and the usage line, with no traceback,
+    and no ``out`` is created."""
+    settings = with_defaults(settings)
+    argv = ["--scenario", str(tiny_path), "--out", str(out)]
+    for name in settings.pop("algorithms"):
+        argv += ["--algorithm", name]
+    for key, value in settings.items():
+        argv += [SETTING_FLAGS[key], str(value)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}\nusage: fabflock ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 class TestExitCodes:
     def test_unknown_algorithm_is_usage_error(self, tmp_path, capsys):
         code = cli.main(["--algorithm", "greedy", "--out", str(tmp_path / "r")])
@@ -123,87 +181,38 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "baseline" in err and "flocking" in err
 
-    def test_bad_runs_is_usage_error(self, tmp_path):
-        assert cli.main(["--runs", "0", "--out", str(tmp_path / "r")]) == 1
+    def test_bad_runs_is_usage_error(self, tiny_path, tmp_path, capsys):
+        assert_main_usage_error(tiny_path, tmp_path / "r", capsys, runs_message(0), {"runs": 0})
 
-    def test_runs_beyond_the_limit_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        code = cli.main(["--runs", str(cli.MAX_RUNS + 1), "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert str(cli.MAX_RUNS) in err and "Traceback" not in err
-        assert not out.exists()
-
-    def test_no_algorithm_rejected_before_output(self, tiny_path, tmp_path):
-        out = tmp_path / "r"
-        with pytest.raises(ValueError, match="at least one algorithm"):
-            cli.run_experiment(cli.load_scenario(str(tiny_path)), [],
-                               runs=1, base_seed=1, out_dir=out)
-        assert not out.exists()
+    def test_runs_beyond_the_limit_is_usage_error(self, tiny_path, tmp_path, capsys):
+        runs = cli.MAX_RUNS + 1
+        assert_main_usage_error(tiny_path, tmp_path / "r", capsys, runs_message(runs),
+                                {"runs": runs})
 
     @pytest.mark.parametrize("runs", [0, -1, cli.MAX_RUNS + 1])
     def test_runs_out_of_range_rejected_before_output(self, tiny_path, tmp_path, runs):
-        out = tmp_path / "r"
-        with pytest.raises(ValueError, match="runs must lie in"):
-            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline"],
-                               runs=runs, base_seed=1, out_dir=out)
-        assert not out.exists()
+        assert_api_usage_error(tiny_path, tmp_path / "r", runs_message(runs), {"runs": runs})
 
     def test_negative_seed_rejected_before_output(self, tiny_path, tmp_path):
         # random.Random(-s) equals Random(s): seeds -1 and 1 would be one run.
-        out = tmp_path / "r"
-        with pytest.raises(ValueError, match="base_seed must be >= 0"):
-            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline"],
-                               runs=3, base_seed=-1, out_dir=out)
-        assert not out.exists()
+        assert_api_usage_error(tiny_path, tmp_path / "r", "base_seed must be >= 0, got -1",
+                               {"runs": 3, "base_seed": -1})
 
-    def test_unknown_algorithm_rejected_before_output(self, tiny_path, tmp_path):
-        out = tmp_path / "r"
-        with pytest.raises(ValueError, match="unknown algorithm 'bogus'"):
-            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline", "bogus"],
-                               runs=1, base_seed=1, out_dir=out)
-        assert not out.exists()
+    def test_negative_seed_is_usage_error(self, tiny_path, tmp_path, capsys):
+        assert_main_usage_error(tiny_path, tmp_path / "r", capsys,
+                                "base_seed must be >= 0, got -1", {"runs": 3, "base_seed": -1})
 
-    def test_negative_seed_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "r"
-        code = cli.main(["--runs", "3", "--seed", "-1", "--algorithm", "baseline",
-                         "--out", str(out)])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "--seed must be >= 0" in err and "Traceback" not in err
-        assert not out.exists()
+    @pytest.mark.parametrize("settings, message, via_main", BAD_SETTINGS.values(),
+                             ids=list(BAD_SETTINGS))
+    def test_bad_setting_is_one_usage_error(self, tiny_path, tmp_path, capsys, settings,
+                                            message, via_main):
+        assert_api_usage_error(tiny_path, tmp_path / "r", message, settings)
+        if via_main:
+            assert_main_usage_error(tiny_path, tmp_path / "r", capsys, message, settings)
 
-    @pytest.mark.parametrize("setting, value, algorithm", [
-        ("hist_bin", 0, "baseline"),          # used to write runs.csv first
-        ("flsq_len", 0, "flocking"),          # used to create the directory first
-        ("horizon_factor", 0, "baseline"),    # used to abort at tick 2
-        ("horizon_factor", -5, "baseline"),
-    ])
-    def test_setting_below_one_rejected_before_output(self, tmp_path, capsys, setting, value,
-                                                      algorithm):
-        out = tmp_path / "r"
-        with pytest.raises(ValueError, match=f"{setting} must be >= 1"):
-            cli.run_experiment(cli.load_scenario("smallfab"), [algorithm], runs=2,
-                               base_seed=1, out_dir=out, **{setting: value})
-        assert not out.exists()
-        flag = "--" + setting.replace("_", "-")
-        assert cli.main([flag, str(value), "--algorithm", algorithm, "--runs", "2",
-                         "--out", str(out)]) == 1
-        assert f"error: {flag} must be >= 1" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_repeated_algorithm_is_usage_error(self, tiny_path, tmp_path, capsys):
-        out = tmp_path / "r"
-        code = cli.main(["--scenario", str(tiny_path), "--runs", "2", "--out", str(out),
-                         "--algorithm", "flocking", "--algorithm", "flocking"])
-        assert code == 1
-        err = capsys.readouterr().err
-        assert "flocking given more than once" in err and "Traceback" not in err
-        assert not out.exists()
-        with pytest.raises(ValueError, match="once"):
-            cli.run_experiment(cli.load_scenario(str(tiny_path)), ["baseline", "baseline"],
-                               runs=1, base_seed=1, out_dir=out)
-        assert not out.exists()
+    def test_scenario_error_comes_before_a_bad_setting(self, tmp_path):
+        assert cli.main(["--scenario", str(tmp_path / "nope.txt"), "--runs", "0",
+                         "--out", str(tmp_path / "r")]) == 2
 
     def test_missing_scenario_file(self, tmp_path):
         code = cli.main(["--scenario", str(tmp_path / "nope.txt"),
@@ -246,6 +255,19 @@ class TestExitCodes:
         path.write_bytes("scenario caf\u00e9\n".encode("latin-1"))
         assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "r")]) == 2
         assert "not UTF-8" in capsys.readouterr().err
+
+    def test_scenario_file_over_the_size_limit_exits_2(self, tiny_path, tmp_path,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(cli, "MAX_FILE_BYTES", len(TINY.encode("utf-8")))
+        assert cli.main(["--scenario", str(tiny_path), "--runs", "1",
+                         "--out", str(tmp_path / "a")]) == 0
+        path = tmp_path / "long.txt"
+        path.write_text(TINY + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert cli.main(["--scenario", str(path), "--out", str(tmp_path / "b")]) == 2
+        assert capsys.readouterr().err == \
+            f"scenario error: {path}: more than {cli.MAX_FILE_BYTES} bytes\n"
+        assert not (tmp_path / "b").exists()
 
     def test_scenario_file_with_a_byte_order_mark_runs(self, tiny_path, tmp_path):
         path = tmp_path / "bom.txt"
@@ -379,6 +401,15 @@ class TestPrintedTable:
     def test_help_is_pinned(self, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
         assert cli.build_parser().format_help() == HELP_80_COLUMNS
+
+    def test_readme_flag_table_has_one_row_per_flag(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme.split("| flag | default | meaning |\n| --- | --- | --- |\n")[1]
+        rows = table.split("\n\n")[0].splitlines()
+        flags = [re.fullmatch(r"\| `(-[^`]+)` \|.*", row).group(1) for row in rows]
+        options = [option for action in cli.build_parser()._actions if action.dest != "help"
+                   for option in action.option_strings]
+        assert sorted(flags) == sorted(options)
 
 
 class TestMakePolicy:

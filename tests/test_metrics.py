@@ -18,8 +18,8 @@ def rec(lot_id=0, finish=10, queue=0, rpt=10, lot_type=0):
                      queue_ticks=queue, rpt_ticks=rpt)
 
 
-def result(lots, busy=None, machines=1):
-    return RunResult(algorithm="baseline", seed=1, machine_count=machines,
+def result(lots, busy=None):
+    return RunResult(algorithm="baseline", seed=1,
                      makespan=max((r.finish_time for r in lots), default=0),
                      lots=tuple(lots), busy_ticks=busy or {})
 
@@ -73,11 +73,11 @@ class TestTardiness:
 
 class TestUtilization:
     def test_always_busy(self):
-        r = result([rec(0, finish=10)], busy={"m0.0": 10}, machines=1)
+        r = result([rec(0, finish=10)], busy={"m0.0": 10})
         assert utilization(r) == 1.0
 
     def test_half_idle_pair(self):
-        r = result([rec(0, finish=10)], busy={"m0.0": 10, "m0.1": 0}, machines=2)
+        r = result([rec(0, finish=10)], busy={"m0.0": 10, "m0.1": 0})
         assert utilization(r) == 0.5
 
     def test_zero_makespan(self):
@@ -105,7 +105,7 @@ class TestHistogram:
 
 class TestSummarize:
     def test_bundles_all_four(self):
-        r = result([rec(0, finish=20, queue=10, rpt=10)], busy={"m0.0": 10}, machines=1)
+        r = result([rec(0, finish=20, queue=10, rpt=10)], busy={"m0.0": 10})
         s = summarize(r)
         assert s.makespan == 20
         assert s.flow_factor == 2.0
