@@ -122,13 +122,15 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     across algorithms and making any single run re-executable in isolation.
     When ``table`` is given, the comparison table is also printed to it once
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
-    replication order. Raises ``UsageError``, before touching ``out_dir``,
-    when no algorithm is given, a name repeats or is unknown, ``runs`` lies
-    outside 1..``MAX_RUNS``, ``base_seed`` is negative (``random.Random``
-    seeds with the absolute value, so seeds -1 and 1 would run the same
-    replication), or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is
-    below 1.
+    replication order. Before touching ``out_dir``, it raises
+    ``ScenarioError`` for a scenario ``Scenario.validate`` rejects, one
+    built in code included, and then ``UsageError`` when no algorithm is
+    given, a name repeats or is unknown, ``runs`` lies outside
+    1..``MAX_RUNS``, ``base_seed`` is negative (``random.Random`` seeds with
+    the absolute value, so seeds -1 and 1 would run the same replication),
+    or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is below 1.
     """
+    scenario.validate()
     if not algorithms:
         raise UsageError("at least one algorithm must run")
     if len(set(algorithms)) < len(algorithms):

@@ -278,18 +278,20 @@ def run_to_completion(state: SimState, horizon_factor: int = DEFAULT_HORIZON_FAC
 def audit_state(state: SimState) -> None:
     """Raise AssertionError when a structural invariant is violated.
 
-    Checks lot conservation (each lot sits in exactly one queue slot, one
-    machine, or the finished set), batch type purity, batch size bounds, and
-    that every queue's ``size`` counts its queued lots. An idle batch
-    machine has its waiting timer armed, at a tick no later than the clock,
-    exactly when its queue is nonempty, and once a tick has run it holds no
-    full batch. Every workcenter's ``QueueIndex`` must equal one recount of
-    each table: each length bucket the machines with that queue size in
-    machine order, and ``partials`` the workcenter's partial batches, at
-    most one per type across all its queues. A workcenter tracking lot
-    types must have ``type_counts`` equal the queued lots per type and
-    machine; an untracked one must hold no lot-type state at all (no
-    counts, marks or distance index). Equality with a recount rules out
+    Checks the three run invariants: lot conservation (each lot sits in
+    exactly one queue slot, one machine, or the finished set), batch type
+    purity and size bounds, and finish = wait + work (every finished lot's
+    ``finish_time`` is its ``total_queue_ticks`` plus its recipe's raw
+    process ticks). Every queue's ``size`` must count its queued lots. An
+    idle batch machine has its waiting timer armed, at a tick no later than
+    the clock, exactly when its queue is nonempty, and once a tick has run
+    it holds no full batch. Every workcenter's ``QueueIndex`` must equal one
+    recount of each table: each length bucket the machines with that queue
+    size in machine order, and ``partials`` the workcenter's partial
+    batches, at most one per type across all its queues. A workcenter
+    tracking lot types must have ``type_counts`` equal the queued lots per
+    type and machine; an untracked one must hold no lot-type state at all
+    (no counts, marks or distance index). Equality with a recount rules out
     empty buckets, empty inner tables and zero counts. Where a workcenter
     has built its same-type distance index, checks it without changing it:
     every machine not in ``index.changed`` holds the
@@ -330,7 +332,11 @@ def audit_state(state: SimState) -> None:
                     seen.extend(l.id for l in b.lots)
         _audit_queue_index(wc)
         _audit_distance_index(wc, state.recipes)
-    seen.extend(l.id for l in state.finished)
+    rpt = state.scenario.rpt_by_type()
+    for lot in state.finished:
+        assert lot.finish_time == lot.total_queue_ticks + rpt[lot.lot_type], \
+            f"lot {lot.id}: finish is not wait + work"
+        seen.append(lot.id)
     assert sorted(seen) == sorted(l.id for l in state.lots), "lot conservation violated"
 
 

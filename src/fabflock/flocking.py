@@ -208,7 +208,7 @@ class FlockingPolicy(BaselinePolicy):
 
     def __init__(self, flsq_len: int = DEFAULT_FLSQ_LEN):
         if flsq_len < 1:
-            raise ValueError("flsq_len must be >= 1")
+            raise ValueError(f"flsq_len must be >= 1, got {flsq_len}")
         self.flsq_len = flsq_len
 
     def choose_single(self, lot, wc, rng):

@@ -79,7 +79,7 @@ DEFAULT_HIST_BIN = 10
 def histogram_from_times(times, bin_width: int = DEFAULT_HIST_BIN) -> list[tuple[int, int]]:
     """(bin start, count) pairs; bin b covers [b*w, (b+1)*w)."""
     if bin_width < 1:
-        raise ValueError("bin_width must be >= 1")
+        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
     if not times:
         return []
     counts = [0] * (max(times) // bin_width + 1)

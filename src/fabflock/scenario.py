@@ -10,9 +10,11 @@ File format (UTF-8, ``#`` starts a comment, blank lines ignored):
 Durations are given in hours and must convert to whole ticks under
 ``tick_hours``; everything downstream runs on integer ticks. Durations,
 machine and lot counts and the total work content are capped by the
-``MAX_*`` limits below. ``parse_scenario`` checks each line's syntax, and
-``Scenario.validate`` every rule on the records, of a file and of a scenario
-built in code alike; an error about a record of a file names its line.
+``MAX_*`` limits below. ``parse_scenario`` checks each line's syntax; the
+``MachineType`` constructor owns the kind, int-field and range rules of one
+machine type, and ``Scenario.validate`` every other rule on the records, of
+a file and of a scenario built in code alike. An error about a record of a
+file names its line.
 """
 
 from __future__ import annotations

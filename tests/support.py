@@ -6,6 +6,7 @@ import itertools
 import json
 from types import SimpleNamespace
 
+from fabflock.engine import audit_state, init_run, run_to_completion, tick
 from fabflock.metrics import LotRecord, RunResult
 from fabflock.model import Batch, Lot, MachineKind, MachineType, Workcenter
 from fabflock.scenario import LotSpec, Scenario
@@ -20,6 +21,35 @@ def result_json(result: RunResult) -> str:
     fields["lots"] = [{name: getattr(rec, name) for name in LotRecord.__slots__}
                       for rec in result.lots]
     return json.dumps(fields, sort_keys=True)
+
+
+def checked_run(scenario: Scenario, policy, seed: int, fifo_check: bool) -> RunResult:
+    """Run ``scenario`` to its end, calling ``audit_state`` after ``init_run``
+    and after every tick, and with ``fifo_check`` asserting that every
+    single-step queue holds its lots in enqueue order. Returns the result,
+    whose every lot finished at its wait plus work, no later than the
+    makespan."""
+    state = init_run(scenario, policy, seed)
+    audit_state(state)
+    total = len(state.lots)
+    for _ in range(100_000):
+        if len(state.finished) >= total:
+            break
+        tick(state)
+        audit_state(state)
+        if fifo_check:
+            for wc in state.workcenters.values():
+                if wc.mtype.kind is MachineKind.SINGLE_STEP:
+                    for q in wc.queues:
+                        times = [l.enqueue_time for l in q.lots]
+                        assert times == sorted(times), "FIFO order broken"
+    else:
+        raise AssertionError("run did not terminate")
+    result = run_to_completion(state)
+    for rec in result.lots:
+        assert rec.finish_time == rec.queue_ticks + rec.rpt_ticks <= result.makespan, \
+            f"lot {rec.lot_id}: finish is not wait + work within the makespan"
+    return result
 
 
 def lot(lot_type: int) -> Lot:

@@ -14,14 +14,14 @@ from scipy import stats
 
 from fabflock import baseline, cli
 from fabflock.baseline import BaselinePolicy
-from fabflock.engine import audit_state, init_run, run_to_completion, tick
+from fabflock.engine import init_run, run_to_completion
 from fabflock.flocking import FlockingPolicy, first_same_type_distance, pull_from_totals
 from fabflock.metrics import summarize
 from fabflock.model import MachineKind, MachineType
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
 
-from support import (add_batch, fill_queue, lot, make_batch_wc, make_single_wc, random_scenario,
-                     set_processing)
+from support import (add_batch, checked_run, fill_queue, lot, make_batch_wc, make_single_wc,
+                     random_scenario, set_processing)
 from support import result_json as _result_json
 
 RUNS = 50
@@ -175,36 +175,13 @@ class _PrefixCheckingFlocking(FlockingPolicy):
         assert all(a is b for a, b in zip(after[w:], before[w:]))
 
 
-def _checked_run(scenario, policy, seed, fifo_check):
-    state = init_run(scenario, policy, seed)
-    audit_state(state)
-    total = len(state.lots)
-    for _ in range(100_000):
-        if len(state.finished) >= total:
-            break
-        tick(state)
-        audit_state(state)
-        if fifo_check:
-            for wc in state.workcenters.values():
-                if wc.mtype.kind is MachineKind.SINGLE_STEP:
-                    for q in wc.queues:
-                        times = [l.enqueue_time for l in q.lots]
-                        assert times == sorted(times), "FIFO order broken"
-    else:
-        raise AssertionError("run did not terminate")
-    rpt = scenario.rpt_by_type()
-    for done in state.finished:
-        assert done.finish_time == done.total_queue_ticks + rpt[done.lot_type]
-    return state
-
-
 def test_criterion_6_invariants_on_randomized_scenarios():
     gen = random.Random(1234)
     for i in range(200):
         scenario = random_scenario(gen)
         seed = 1000 + i
-        _checked_run(scenario, BaselinePolicy(), seed, fifo_check=True)
-        _checked_run(scenario, _PrefixCheckingFlocking(), seed, fifo_check=False)
+        checked_run(scenario, BaselinePolicy(), seed, fifo_check=True)
+        checked_run(scenario, _PrefixCheckingFlocking(), seed, fifo_check=False)
         for policy_cls in (BaselinePolicy, FlockingPolicy):
             a = run_to_completion(init_run(scenario, policy_cls(), seed))
             b = run_to_completion(init_run(scenario, policy_cls(), seed))

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 from fabflock import cli
+from fabflock.model import MachineKind, MachineType
+from fabflock.scenario import LotSpec, Scenario, ScenarioError
 
 TINY = """\
 scenario tiny
@@ -218,6 +220,14 @@ class TestExitCodes:
         code = cli.main(["--scenario", str(tmp_path / "nope.txt"),
                          "--out", str(tmp_path / "r")])
         assert code == 2
+
+    def test_invalid_scenario_built_in_code_creates_no_output(self, tmp_path):
+        sc = Scenario("bad", 0.1, (MachineType(0, MachineKind.SINGLE_STEP, 2),),
+                      (LotSpec(0, 1, (0, 9)),))
+        with pytest.raises(ScenarioError,
+                           match="^lot type 0: recipe references unknown machine type 9$"):
+            cli.run_experiment(sc, ["baseline"], runs=1, base_seed=1, out_dir=tmp_path / "r")
+        assert not (tmp_path / "r").exists()
 
     def test_invalid_scenario_content(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -13,10 +13,9 @@ from fabflock.engine import (
     tick,
 )
 from fabflock.flocking import FlockingPolicy
-from fabflock.model import MultiQueue
 from fabflock.scenario import ScenarioError, build_small_fab, parse_scenario
 
-from support import batch_type, lots_spec, result_json, scenario_of, single_type
+from support import batch_type, checked_run, lots_spec, result_json, scenario_of, single_type
 
 
 def run(scenario, policy, seed, **kwargs):
@@ -171,77 +170,25 @@ class TestDeterminism:
 
 class TestRunInvariants:
     def test_small_fab_run_conserves_lots_every_tick(self):
+        # audit_state after every tick checks all three invariants: lot
+        # conservation, batch purity and size bounds, and finish = wait +
+        # work. Single-step queues stay FIFO under the baseline.
+        for policy_cls in (BaselinePolicy, FlockingPolicy):
+            result = checked_run(build_small_fab(), policy_cls(), seed=5,
+                                 fifo_check=policy_cls is BaselinePolicy)
+            assert len(result.lots) == 105
+
+    def test_audit_rejects_a_finish_that_is_not_wait_plus_work(self):
         state = init_run(build_small_fab(), BaselinePolicy(), seed=5)
+        run_to_completion(state)
         audit_state(state)
-        while len(state.finished) < len(state.lots):
-            tick(state)
+        done = state.finished[0]
+        done.total_queue_ticks -= 1
+        with pytest.raises(AssertionError, match=rf"^lot {done.id}: finish is not wait \+ work$"):
             audit_state(state)
-        assert len(state.finished) == 105
-
-    def test_finish_time_is_wait_plus_work(self):
-        for policy in (BaselinePolicy(), FlockingPolicy()):
-            result = run(build_small_fab(), policy, seed=11)
-            for rec in result.lots:
-                assert rec.finish_time == rec.queue_ticks + rec.rpt_ticks
-
-    def test_baseline_single_queues_stay_fifo(self):
-        state = init_run(build_small_fab(), BaselinePolicy(), seed=2)
-        for _ in range(80):
-            tick(state)
-            for wc in state.workcenters.values():
-                for q in wc.queues:
-                    times = [l.enqueue_time for l in q.lots]
-                    assert times == sorted(times)
-
-    def test_every_finish_at_most_makespan(self):
-        result = run(build_small_fab(), BaselinePolicy(), seed=3)
-        assert all(rec.finish_time <= result.makespan for rec in result.lots)
-        assert len(result.lots) == 105
-
-
-class TestOccupancyReads:
-    @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
-    def test_ticking_never_recounts_a_queue(self, policy_cls, monkeypatch):
-        # The tick loop and the policies read the queues' kept sizes; the
-        # counting methods stay for callers outside the loop.
-        calls = Counter()
-        for name in ("total_len", "is_empty"):
-            real = getattr(MultiQueue, name)
-
-            def counted(self, _name=name, _real=real):
-                calls[_name] += 1
-                return _real(self)
-
-            monkeypatch.setattr(MultiQueue, name, counted)
-        state = init_run(build_small_fab(), policy_cls(), seed=1)
-        while len(state.finished) < len(state.lots):
-            tick(state)
-        assert calls == Counter()
 
 
 class TestPerLotWork:
-    @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
-    def test_ticks_call_neither_next_step_nor_view(self, policy_cls, monkeypatch):
-        # Phases 2 and 3 read the recipes and hand each decision its
-        # workcenter directly; both names stay only for the traced benchmark.
-        state = init_run(build_small_fab(), policy_cls(), seed=1)
-        calls = Counter()
-        real_next_step, real_view = engine.next_step, engine.Workcenter.view
-
-        def next_step(*args):
-            calls["next_step"] += 1
-            return real_next_step(*args)
-
-        def view(self):
-            calls["view"] += 1
-            return real_view(self)
-
-        monkeypatch.setattr(engine, "next_step", next_step)
-        monkeypatch.setattr(engine.Workcenter, "view", view)
-        while len(state.finished) < len(state.lots):
-            tick(state)
-        assert calls == Counter()
-
     @pytest.mark.parametrize("policy_cls", [BaselinePolicy, FlockingPolicy])
     def test_every_decision_receives_a_workcenter_of_the_state(self, policy_cls,
                                                                monkeypatch):

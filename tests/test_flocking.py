@@ -410,7 +410,7 @@ class TestDistanceIndex:
 
 class TestTakeSingle:
     def test_policy_rejects_an_empty_window(self):
-        with pytest.raises(ValueError, match="^flsq_len must be >= 1$"):
+        with pytest.raises(ValueError, match="^flsq_len must be >= 1, got 0$"):
             FlockingPolicy(flsq_len=0)
 
     def test_empty_queue(self):

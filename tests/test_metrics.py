@@ -93,7 +93,7 @@ class TestHistogram:
         assert histogram_from_times([]) == []
 
     def test_bad_width(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^bin_width must be >= 1, got 0$"):
             histogram_from_times([1], 0)
 
     @given(times=st.lists(st.integers(0, 400)), width=st.integers(1, 40))

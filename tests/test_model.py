@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -12,7 +11,6 @@ from fabflock.model import (
     MachineKind,
     MachineType,
     MultiQueue,
-    Workcenter,
     next_step,
 )
 from fabflock.scenario import build_small_fab
@@ -79,23 +77,26 @@ class TestMachineTypeValidation:
         MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1)
 
     def test_single_step_rejects_batch_size(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^machine type 0: single-step machines have batch_size 1$"):
             MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, batch_size=4)
 
     def test_single_step_rejects_waiting_timer(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^machine type 0: single-step machines have no waiting timer$"):
             MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, wt_ticks=3)
 
     def test_batch_needs_size_two(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match="^machine type 0: batch machines need batch_size >= 2$"):
             MachineType(0, MachineKind.BATCH, raw_process_ticks=1, batch_size=1)
 
     def test_rpt_at_least_one(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^machine type 0: raw_process_ticks must be >= 1$"):
             MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=0)
 
     def test_machine_count_at_least_one(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match="^machine type 0: machine_count must be >= 1$"):
             MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, machine_count=0)
 
     def test_batch_waiting_timer_not_negative(self):
@@ -105,23 +106,27 @@ class TestMachineTypeValidation:
     def test_kind_must_be_a_machine_kind(self):
         # The engine arms a waiting timer only for MachineKind.BATCH, while
         # the queues treat every kind but SINGLE_STEP as batch.
-        with pytest.raises(ConfigError, match="kind"):
+        with pytest.raises(ConfigError,
+                           match="^machine type 0: kind must be a MachineKind, got 'batch'$"):
             MachineType(0, "batch", 2, batch_size=2, wt_ticks=1)
 
-    @pytest.mark.parametrize("field, value", [
-        ("id", "0"),
-        ("raw_process_ticks", 2.5),  # a countdown from 2.5 never reaches 0
-        ("batch_size", 2.0),
-        ("wt_ticks", 1.0),
-        ("machine_count", True),
-    ])
-    def test_integer_field_must_be_an_int(self, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("id", "0", "machine type '0': id must be an int, got '0'"),
+        # a countdown from 2.5 never reaches 0
+        ("raw_process_ticks", 2.5, "machine type 0: raw_process_ticks must be an int, got 2.5"),
+        ("batch_size", 2.0, "machine type 0: batch_size must be an int, got 2.0"),
+        ("wt_ticks", 1.0, "machine type 0: wt_ticks must be an int, got 1.0"),
+        ("machine_count", True, "machine type 0: machine_count must be an int, got True"),
+    ], ids=["id-0", "raw_process_ticks-2.5", "batch_size-2.0", "wt_ticks-1.0",
+            "machine_count-True"])
+    def test_integer_field_must_be_an_int(self, field, value, message):
         fields = dict(id=0, kind=MachineKind.BATCH, raw_process_ticks=2, batch_size=2,
                       wt_ticks=1, machine_count=1)
         MachineType(**fields)
         fields[field] = value
-        with pytest.raises(ConfigError, match="must be an int"):
+        with pytest.raises(ConfigError) as rejected:
             MachineType(**fields)
+        assert str(rejected.value) == message
 
 
 class TestMultiQueueAddLot:
@@ -380,35 +385,3 @@ class TestLotTypeTracking:
         index.changed.clear()
         assert index.changed == apply(after)
         assert_counts_equal_a_recount()
-
-
-class TestDispatchReads:
-    def test_no_per_machine_list_outside_the_separation_fallback(self, monkeypatch):
-        # Both rules read the queue index, and so does flocking's fallback,
-        # when every machine already queues the lot's type: no rule lists
-        # every machine.
-        calls = Counter()
-        real = Workcenter.type_count
-
-        def counted(self, *args):
-            calls["type_count"] += 1
-            return real(self, *args)
-
-        monkeypatch.setattr(Workcenter, "type_count", counted)
-        n = 50
-        wc = make_single_wc(n)
-        rng = random.Random(3)
-        for i in range(n - 1):
-            fill_queue(wc, i, [0] + [rng.randrange(1, 4) for _ in range(rng.randrange(3))])
-        for t in range(5):  # type 0 queued by all but one machine, type 4 by none
-            assert baseline.choose_single(lot(t), wc, rng) == n - 1
-            flocking.choose_single(lot(t), wc, rng)
-        assert calls == Counter()
-
-        for i in range(n):
-            if i not in wc.index.type_counts[0]:
-                fill_queue(wc, i, [0])
-        assert len(wc.index.type_counts[0]) == n  # the fallback's case
-        baseline.choose_single(lot(0), wc, rng)
-        flocking.choose_single(lot(0), wc, rng)
-        assert calls == Counter()

@@ -194,32 +194,35 @@ class TestParse:
 
     def test_batch_size_below_two_rejected(self):
         bad = "machinetype 0 kind batch count 1 rpt_hours 0.4 bs 1 wt_hours 0.3\n"
-        with pytest.raises(ScenarioError, match="batch_size >= 2"):
+        with pytest.raises(ScenarioError,
+                           match="^line 1: machine type 0: batch machines need batch_size >= 2$"):
             parse_scenario(bad)
 
     def test_single_step_with_timer_rejected(self):
         bad = "machinetype 0 kind single count 1 rpt_hours 0.2 wt_hours 0.3\n"
-        with pytest.raises(ScenarioError, match="no bs/wt_hours"):
+        with pytest.raises(ScenarioError, match="^line 1: single-step lines take no bs/wt_hours$"):
             parse_scenario(bad)
 
     def test_batch_without_size_rejected(self):
         bad = "machinetype 0 kind batch count 1 rpt_hours 0.4\n"
-        with pytest.raises(ScenarioError, match="needs bs"):
+        with pytest.raises(ScenarioError, match="^line 1: batch machine type needs bs$"):
             parse_scenario(bad)
 
     def test_unknown_directive_rejected(self):
-        with pytest.raises(ScenarioError, match="unknown directive"):
+        with pytest.raises(ScenarioError, match="^line 1: unknown directive 'machines'$"):
             parse_scenario("machines 3\n")
 
     def test_duplicate_tick_hours_rejected(self):
         bad = "tick_hours 0.1\ntick_hours 0.2\n"
-        with pytest.raises(ScenarioError, match="twice"):
+        with pytest.raises(ScenarioError, match="^line 2: tick_hours given twice$"):
             parse_scenario(bad)
 
     def test_empty_recipe_rejected(self):
         bad = "machinetype 0 kind single count 1 rpt_hours 0.2\nlottype 0 count 1 recipe\n"
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError) as rejected:
             parse_scenario(bad)
+        assert str(rejected.value) == \
+            "line 2: expected 'lottype <t> count <n> recipe <steps...>'"
 
     @pytest.mark.parametrize("text, line_no, scenario", [
         (_ONE_MACHINE + "machinetype 0 kind single count 1 rpt_hours 0.2\n", 2,
@@ -277,9 +280,12 @@ class TestParse:
         ("scenario a\n" + _ONE_MACHINE + "scenario b\n", "line 3: scenario name given twice"),
         ("scenario x\nmachinetype 0 kind single count 1 rpt_hours fast\n",
          "line 2: rpt_hours must be a number, got 'fast'"),
+        ("machinetype\n", "line 1: machinetype needs an id"),
+        ("scenario x\nmachinetype zero kind single count 1 rpt_hours 0.2\n",
+         "line 2: machine type id must be an integer, got 'zero'"),
     ], ids=["odd_key_value_count", "duplicate_key", "unknown_kind", "missing_count",
             "missing_rpt_hours", "unknown_keys", "zero_tick_hours", "second_scenario_line",
-            "non_numeric_float"])
+            "non_numeric_float", "missing_id", "non_integer_id"])
     def test_a_malformed_line_is_rejected_with_its_line(self, text, message):
         with pytest.raises(ScenarioError) as rejected:
             parse_scenario(text)
