@@ -1,6 +1,6 @@
 """Tick-based job-shop plant simulator with pluggable scheduling policies."""
 
-from .baseline import BaselinePolicy, pick_uniform, shuffle
+from .baseline import Policy, pick_uniform, shuffle
 from .engine import (
     SimState,
     SimulationAbort,
@@ -9,7 +9,7 @@ from .engine import (
     run_to_completion,
     tick,
 )
-from .flocking import DEFAULT_FLSQ_LEN, FlockingPolicy
+from .flocking import DEFAULT_FLSQ_LEN
 from .metrics import (
     LotRecord,
     MetricsSummary,
@@ -43,11 +43,9 @@ from .scenario import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaselinePolicy",
     "Batch",
     "ConfigError",
     "DEFAULT_FLSQ_LEN",
-    "FlockingPolicy",
     "Lot",
     "LotRecord",
     "LotSpec",
@@ -56,6 +54,7 @@ __all__ = [
     "MachineType",
     "MetricsSummary",
     "MultiQueue",
+    "Policy",
     "Recipe",
     "RunResult",
     "Scenario",

@@ -1,11 +1,12 @@
-"""Engineered comparison policy.
+"""Engineered comparison policy, and the ``Policy`` record every policy is.
 
-Single-step workcenters: join the machine with the shortest queue, serve the
-queue strictly FIFO. Batch workcenters, under every policy: a lot joins its
-type's partial batch if the workcenter holds one, and otherwise opens a new
-batch at the shortest overall queue; a machine starts a full batch as soon
-as one waits, and only falls back to its fullest partial batch once the
-waiting timer has expired. All ties break uniformly at random.
+Single-step workcenters: join the machine with the shortest queue
+(``choose_single``), serve the queue strictly FIFO (``take_single``). Batch
+workcenters, under every policy: a lot joins its type's partial batch if
+the workcenter holds one, and otherwise opens a new batch at the shortest
+overall queue; a machine starts a full batch as soon as one waits, and only
+falls back to its fullest partial batch once the waiting timer has expired.
+All ties break uniformly at random.
 
 The paper words the join as "top up the partial batch missing the fewest
 lots anywhere in the workcenter, ties uniform". That rank never has two
@@ -91,30 +92,36 @@ def take_batch(machine: Machine, queue: MultiQueue,
     return pick_uniform([b for b in queue.batches if len(b.lots) == fullest], rng)
 
 
-class BaselinePolicy:
-    """Shortest-queue FIFO at single-step workcenters, and the root of every
-    policy. The engine calls two hooks, both at single-step workcenters
-    only:
+def take_single(machine: Machine, queue: MultiQueue, wc: Workcenter,
+                rng: random.Random, window_len: int) -> None:
+    """FIFO: the head stays where it is."""
+
+
+class Policy:
+    """A scheduling policy: a name and two rules, both for single-step
+    workcenters only, which the engine calls as hooks:
 
     - ``choose_single(lot, wc, rng)``: index of the machine whose queue an
       arriving lot joins;
-    - ``take_single(machine, queue, wc, rng)``: runs just before an idle
-      single-step machine loads the head of its nonempty queue, and may only
-      reorder that queue in place.
+    - ``take_single(machine, queue, wc, rng, window_len)``: runs just before
+      an idle single-step machine loads the head of its nonempty queue, and
+      may only reorder that queue in place; ``window_len`` is the policy's
+      ``flsq_len``, at least 1.
 
     ``wc`` is the decision's ``model.Workcenter``, whose docstring gives
-    what a hook may change through it.
+    what a hook may change through it. A rule is a module-level function,
+    such as this module's FIFO ``take_single``.
 
-    Subclasses override these two. Batch workcenters run this module's
-    ``choose_batch`` and ``take_batch`` under every policy; the engine calls
-    them itself.
+    Batch workcenters run this module's ``choose_batch`` and ``take_batch``
+    under every policy; the engine calls them itself.
     """
 
-    name = "baseline"
+    __slots__ = ("name", "choose_single", "take_single", "flsq_len")
 
-    def choose_single(self, lot: Lot, wc: Workcenter, rng: random.Random) -> int:
-        return choose_single(lot, wc, rng)
-
-    def take_single(self, machine: Machine, queue: MultiQueue,
-                    wc: Workcenter, rng: random.Random) -> None:
-        """FIFO: the head stays where it is."""
+    def __init__(self, name: str, choose_single, take_single, flsq_len: int):
+        if flsq_len < 1:
+            raise ValueError(f"flsq_len must be >= 1, got {flsq_len}")
+        self.name = name
+        self.choose_single = choose_single
+        self.take_single = take_single
+        self.flsq_len = flsq_len

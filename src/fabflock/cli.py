@@ -19,9 +19,10 @@ import sys
 from pathlib import Path
 from typing import TextIO
 
-from .baseline import BaselinePolicy
+from . import baseline, flocking
+from .baseline import Policy
 from .engine import DEFAULT_HORIZON_FACTOR, SimulationAbort, init_run, run_to_completion
-from .flocking import DEFAULT_FLSQ_LEN, FlockingPolicy
+from .flocking import DEFAULT_FLSQ_LEN
 from .metrics import DEFAULT_HIST_BIN, MetricsSummary, RunResult, histogram_from_times, summarize
 from .model import ConfigError
 from .scenario import MAX_FILE_BYTES, Scenario, ScenarioError, build_small_fab, parse_scenario
@@ -31,7 +32,13 @@ EXIT_USAGE = 1
 EXIT_SCENARIO = 2
 EXIT_SIM = 3
 
-ALGORITHM_NAMES = ("baseline", "flocking")
+#: Algorithm name -> (module of its queue rule ``choose_single``, module of
+#: its take rule ``take_single``). ``make_policy`` reads each rule off its
+#: module when it builds a policy, not at import: ``bench/run.py`` installs
+#: its span wrappers on those module attributes before a run builds its
+#: policies, and a function captured here would bypass them.
+POLICY_RULES = {"baseline": (baseline, baseline), "flocking": (flocking, flocking)}
+ALGORITHM_NAMES = tuple(POLICY_RULES)
 #: Most replications per algorithm. ``run_experiment`` keeps every run's
 #: per-lot records until the CSVs are written (about 15 KB per small-fab
 #: run, ten times that on a ten-fold fab), so this bounds its memory like
@@ -49,12 +56,11 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def make_policy(name: str, flsq_len: int = DEFAULT_FLSQ_LEN) -> BaselinePolicy:
-    if name == "baseline":
-        return BaselinePolicy()
-    if name == "flocking":
-        return FlockingPolicy(flsq_len=flsq_len)
-    raise UsageError(f"unknown algorithm {name!r}; valid names: {', '.join(ALGORITHM_NAMES)}")
+def make_policy(name: str, flsq_len: int = DEFAULT_FLSQ_LEN) -> Policy:
+    if name not in POLICY_RULES:
+        raise UsageError(f"unknown algorithm {name!r}; valid names: {', '.join(ALGORITHM_NAMES)}")
+    queue_rule, take_rule = POLICY_RULES[name]
+    return Policy(name, queue_rule.choose_single, take_rule.take_single, flsq_len)
 
 
 def load_scenario(source: str) -> Scenario:

@@ -11,9 +11,10 @@ Every tick executes five phases in this fixed order:
    ``baseline.choose_batch`` does, under every policy.
 3. Idle machines, visited in a seeded random order, try to start: a
    single-step machine lets the policy's ``take_single`` reorder its queue
-   in place and then loads the queue head; a batch machine starts the batch
-   ``baseline.take_batch`` picks (passing whether its waiting timer has
-   expired), if any. Starting credits each loaded lot's queue wait.
+   in place, within the policy's ``flsq_len`` window, and then loads the
+   queue head; a batch machine starts the batch ``baseline.take_batch``
+   picks (passing whether its waiting timer has expired), if any. Starting
+   credits each loaded lot's queue wait.
 4. Waiting timers of idle batch machines with queued lots run on. This
    needs no per-tick work: a timer is the tick it was armed at, and an idle
    batch machine never holds a full batch after phase 3, since
@@ -38,12 +39,12 @@ one per-run ``random.Random``, making a run a pure function of
 (scenario, policy, seed). Every draw goes through ``baseline.shuffle`` and
 ``baseline.pick_uniform``, which use only its ``getrandbits``.
 
-Per lot, phases 2 and 3 call only the two policy hooks (``choose_single``,
-then ``take_single``) or the two batch rules (``choose_batch``, then
-``take_batch``), and the queue mutators (``add_lot``, then ``pop_head`` or
-``remove_batch``); the engine reads ``state.recipes`` directly and hands
-each decision the ``model.Workcenter`` it is taken at, the one held in
-``state.workcenters``. The batch rules are looked up on the ``baseline``
+Per lot, phases 2 and 3 call only the policy's two rules
+(``choose_single``, then ``take_single``) or the two batch rules
+(``choose_batch``, then ``take_batch``), and the queue mutators
+(``add_lot``, then ``pop_head`` or ``remove_batch``); the engine reads
+``state.recipes`` directly and hands each decision the ``model.Workcenter``
+it is taken at, the one held in ``state.workcenters``. The batch rules are looked up on the ``baseline``
 module at call time, so a wrapper installed there (``bench/run.py`` traces
 them) sees every call. ``choose_batch`` also tags its choice "join" or
 "new"; the engine receives that tag and drops it. No code in the package
@@ -62,7 +63,7 @@ from collections import Counter
 from collections.abc import Iterable
 
 from . import baseline
-from .baseline import BaselinePolicy, shuffle
+from .baseline import Policy, shuffle
 from .flocking import first_same_type_distance
 from .metrics import LotRecord, RunResult
 from .model import (
@@ -104,7 +105,7 @@ class SimState:
     __slots__ = ("scenario", "policy", "seed", "rng", "workcenters", "lots", "recipes",
                  "clock", "finished", "last_finish_tick", "slots")
 
-    def __init__(self, scenario: Scenario, policy: BaselinePolicy, seed: int):
+    def __init__(self, scenario: Scenario, policy: Policy, seed: int):
         scenario.validate()
         self.scenario = scenario
         self.policy = policy
@@ -155,7 +156,7 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
         lot.enqueue_time = clock
 
 
-def init_run(scenario: Scenario, policy: BaselinePolicy, seed: int) -> SimState:
+def init_run(scenario: Scenario, policy: Policy, seed: int) -> SimState:
     """Fresh simulation at tick 0 with every lot queued at its first step.
 
     Builds the ``SimState``, which rejects an invalid scenario, such as one
@@ -173,6 +174,7 @@ def tick(state: SimState) -> SimState:
     clock = state.clock
     rng = state.rng
     policy = state.policy
+    window = policy.flsq_len
     slots = state.slots
 
     # 1: countdown and release; a released lot's cursor moves to its next step
@@ -207,7 +209,7 @@ def tick(state: SimState) -> SimState:
             continue
         mtype = m.mtype
         if mtype.kind is MachineKind.SINGLE_STEP:
-            policy.take_single(m, queue, wc, rng)
+            policy.take_single(m, queue, wc, rng, window)
             lot = queue.pop_head()
             lot.total_queue_ticks += clock - lot.enqueue_time
             m.current_batch = [lot]

@@ -8,19 +8,20 @@ changes single-step decisions only: the engine runs the baseline batch rules
 at batch workcenters under every policy, and those already gather same-type
 lots into shared batches.
 
-Reshuffling works on the first-lots queue (FLSQ): the first ``flsq_len``
-positions of the taking machine's queue. Every lot in the window compares its
-1-based position against the first same-type lot at each other machine in the
-workcenter, where a machine processing the type counts as distance 0 and a
-machine without the type in its own window contributes nothing. A lot farther
-out than the average of those distances gets a pull of -1 (one place toward
-the head), a closer lot +1 (one place toward the back), otherwise 0. Moves
-are applied in random visit order, so an earlier insertion can displace a lot
-before its own move; the resulting fuzzy drift is intended. Lots beyond the
-window never move.
+Reshuffling, the take rule ``take_single``, works on the first-lots queue
+(FLSQ): the first ``window_len`` positions of the taking machine's queue,
+where the engine passes the policy's ``flsq_len``. Every lot in the window
+compares its 1-based position against the first same-type lot at each other
+machine in the workcenter, where a machine processing the type counts as
+distance 0 and a machine without the type in its own window contributes
+nothing. A lot farther out than the average of those distances gets a pull
+of -1 (one place toward the head), a closer lot +1 (one place toward the
+back), otherwise 0. Moves are applied in random visit order, so an earlier
+insertion can displace a lot before its own move; the resulting fuzzy drift
+is intended. Lots beyond the window never move.
 
 The distances come from the same-type distance index of the
-``model.Workcenter`` the hooks receive (``Workcenter.distance_index``), so a
+``model.Workcenter`` the rules receive (``Workcenter.distance_index``), so a
 take costs O(window + machines changed since the last take at the
 workcenter), not O(machines x window). The index keeps, per machine, its
 ``{lot type: distance}`` map and, per lot type, the count and sum of those
@@ -57,7 +58,7 @@ import random
 
 # choose_batch and take_batch stay imported: bench/run.py traces them under these names,
 # though the engine calls them on the baseline module.
-from .baseline import BaselinePolicy, choose_batch, pick_uniform, shuffle, take_batch  # noqa: F401
+from .baseline import choose_batch, pick_uniform, shuffle, take_batch  # noqa: F401
 from .model import Lot, Machine, MultiQueue, Workcenter
 
 DEFAULT_FLSQ_LEN = 5
@@ -196,25 +197,7 @@ def reshuffle_flsq(queue: MultiQueue, wc: Workcenter, own_index: int,
 
 def take_single(machine: Machine, queue: MultiQueue, wc: Workcenter,
                 rng: random.Random, window_len: int = DEFAULT_FLSQ_LEN) -> None:
-    """Reshuffle the queue window; the engine then loads the new head."""
-    reshuffle_flsq(queue, wc, machine.index, rng, window_len)
-
-
-class FlockingPolicy(BaselinePolicy):
-    """Separation at queue choice, cohesion-in-time at take time, both at
-    single-step workcenters."""
-
-    name = "flocking"
-
-    def __init__(self, flsq_len: int = DEFAULT_FLSQ_LEN):
-        if flsq_len < 1:
-            raise ValueError(f"flsq_len must be >= 1, got {flsq_len}")
-        self.flsq_len = flsq_len
-
-    def choose_single(self, lot, wc, rng):
-        return choose_single(lot, wc, rng)
-
-    def take_single(self, machine, queue, wc, rng):
-        """Reshuffle the window; a queue of one lot has nothing to reorder."""
-        if queue.size > 1:
-            take_single(machine, queue, wc, rng, self.flsq_len)
+    """Reshuffle the queue window; the engine then loads the new head. A
+    queue of one lot has nothing to reorder, so it skips the reshuffle."""
+    if queue.size > 1:
+        reshuffle_flsq(queue, wc, machine.index, rng, window_len)

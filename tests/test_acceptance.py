@@ -12,10 +12,10 @@ import time
 import pytest
 from scipy import stats
 
-from fabflock import baseline, cli
-from fabflock.baseline import BaselinePolicy
+from fabflock import baseline, cli, flocking
+from fabflock.baseline import Policy
 from fabflock.engine import init_run, run_to_completion
-from fabflock.flocking import FlockingPolicy, first_same_type_distance, pull_from_totals
+from fabflock.flocking import first_same_type_distance, pull_from_totals
 from fabflock.metrics import summarize
 from fabflock.model import MachineKind, MachineType
 from fabflock.scenario import LotSpec, Scenario, build_small_fab
@@ -163,16 +163,15 @@ def test_criterion_5_batch_rules_property_and_tie_uniformity():
                   f"chi2 p={chi.pvalue:.3f}")
 
 
-class _PrefixCheckingFlocking(FlockingPolicy):
-    """Asserts the reshuffle window stays a permuted prefix on every take."""
-
-    def take_single(self, machine, queue, wc, rng):
-        before = list(queue.lots)
-        w = min(self.flsq_len, len(before))
-        super().take_single(machine, queue, wc, rng)
-        after = queue.lots
-        assert sorted(id(x) for x in after[:w]) == sorted(id(x) for x in before[:w])
-        assert all(a is b for a, b in zip(after[w:], before[w:]))
+def _prefix_checking_take(machine, queue, wc, rng, window_len):
+    """Flocking's take rule, asserting the reshuffle window stays a permuted
+    prefix on every take."""
+    before = list(queue.lots)
+    w = min(window_len, len(before))
+    flocking.take_single(machine, queue, wc, rng, window_len)
+    after = queue.lots
+    assert sorted(id(x) for x in after[:w]) == sorted(id(x) for x in before[:w])
+    assert all(a is b for a, b in zip(after[w:], before[w:]))
 
 
 def test_criterion_6_invariants_on_randomized_scenarios():
@@ -180,11 +179,12 @@ def test_criterion_6_invariants_on_randomized_scenarios():
     for i in range(200):
         scenario = random_scenario(gen)
         seed = 1000 + i
-        checked_run(scenario, BaselinePolicy(), seed, fifo_check=True)
-        checked_run(scenario, _PrefixCheckingFlocking(), seed, fifo_check=False)
-        for policy_cls in (BaselinePolicy, FlockingPolicy):
-            a = run_to_completion(init_run(scenario, policy_cls(), seed))
-            b = run_to_completion(init_run(scenario, policy_cls(), seed))
+        checked_run(scenario, cli.make_policy("baseline"), seed, fifo_check=True)
+        checked_run(scenario, Policy("flocking", flocking.choose_single, _prefix_checking_take, 5),
+                    seed, fifo_check=False)
+        for name in ("baseline", "flocking"):
+            a = run_to_completion(init_run(scenario, cli.make_policy(name), seed))
+            b = run_to_completion(init_run(scenario, cli.make_policy(name), seed))
             assert _result_json(a) == _result_json(b), "seed determinism broken"
     report(6, True, "200 scenarios x 2 policies: conservation, batch purity, "
                     "size bounds, FIFO, window prefix, wait+work identity, determinism")
@@ -221,7 +221,8 @@ def test_criterion_7_micro_scenario_matches_enumeration_oracle():
         "micro", 0.1,
         (MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=2, machine_count=2),),
         (LotSpec(0, 4, (0,)),))
-    engine_spans = {run_to_completion(init_run(scenario, BaselinePolicy(), s)).makespan
+    baseline_policy = cli.make_policy("baseline")
+    engine_spans = {run_to_completion(init_run(scenario, baseline_policy, s)).makespan
                     for s in range(1, 21)}
     ok = engine_spans <= oracle and oracle == {4}
     report(7, ok, f"oracle={sorted(oracle)} engine={sorted(engine_spans)}")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from fabflock import baseline
-from fabflock.baseline import BaselinePolicy
+from fabflock.cli import make_policy
 from fabflock.engine import init_run, tick
 
 from reference_engine import reference_choose_batch
@@ -114,16 +114,16 @@ class TestChooseBatchMatchesTheScan:
 
 
 class TestTakeSingle:
-    """FIFO needs no code: the hook leaves the queue alone and the engine loads
+    """FIFO needs no code: the rule leaves the queue alone and the engine loads
     the head."""
 
     def test_head_of_queue(self):
         wc = make_single_wc(1)
         a, b, c = fill_queue(wc, 0, [1, 2, 3])
-        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
+        baseline.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1), 5)
         assert wc.queues[0].lots == [a, b, c]  # policy only reorders, engine removes
         state = init_run(scenario_of([single_type(rpt=2)], [lots_spec(0, 3, [0])]),
-                         BaselinePolicy(), seed=1)
+                         make_policy("baseline"), seed=1)
         queued = list(state.workcenters[0].queues[0].lots)
         tick(state)
         assert state.workcenters[0].machines[0].current_batch == [queued[0]]
@@ -131,13 +131,13 @@ class TestTakeSingle:
 
     def test_empty_queue(self):
         wc = make_single_wc(1)
-        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
+        baseline.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1), 5)
         assert wc.queues[0].lots == []
 
     def test_last_lot(self):
         wc = make_single_wc(1)
         (x,) = fill_queue(wc, 0, [1])
-        BaselinePolicy().take_single(wc.machines[0], wc.queues[0], wc, random.Random(1))
+        baseline.take_single(wc.machines[0], wc.queues[0], wc, random.Random(1), 5)
         assert wc.queues[0].lots[0] is x
 
 

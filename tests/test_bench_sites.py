@@ -10,8 +10,10 @@ from collections import Counter
 
 import pytest
 
-from fabflock import baseline, cli, engine, model
+from fabflock import baseline, cli, engine, flocking, model
 from fabflock.scenario import build_small_fab
+
+from support import lots_spec, scenario_of, single_type
 
 
 def test_every_traced_site_is_defined_where_it_is_looked_up(bench_run):
@@ -49,3 +51,30 @@ def test_the_batch_rules_are_called_where_the_trace_wraps_them(monkeypatch, poli
         monkeypatch.setattr(baseline, name, counted)
     engine.run_to_completion(engine.init_run(build_small_fab(), cli.make_policy(policy), 1))
     assert calls["choose_batch"] > 0 and calls["take_batch"] > 0
+
+
+@pytest.mark.parametrize("policy, called", [
+    ("baseline", {"baseline.choose_single"}),
+    ("flocking", {"flocking.choose_single", "flocking.take_single"}),
+], ids=["baseline", "flocking"])
+def test_the_single_step_rules_are_called_where_the_trace_wraps_them(monkeypatch, policy,
+                                                                      called):
+    # The traced benchmark wraps these module attributes before a run builds
+    # its policies, so a policy must read its rules off the modules when it
+    # is built: one holding functions captured at import would leave their
+    # metrics at 0. The plant has no batch workcenter, whose choose_batch
+    # would call baseline.choose_single under every policy.
+    calls = Counter()
+    for module, name in ((baseline, "choose_single"), (flocking, "choose_single"),
+                         (flocking, "take_single")):
+        real = getattr(module, name)
+
+        def counted(*args, _site=f"{module.__name__.rsplit('.', 1)[1]}.{name}", _real=real):
+            calls[_site] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    plant = scenario_of([single_type(0, rpt=2, count=2), single_type(1, rpt=3, count=2)],
+                        [lots_spec(0, 4, [0, 1]), lots_spec(1, 4, [1, 0])])
+    engine.run_to_completion(engine.init_run(plant, cli.make_policy(policy), 1))
+    assert set(calls) == called

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from fabflock.baseline import BaselinePolicy
+from fabflock.baseline import Policy
+from fabflock.cli import make_policy
 from fabflock.engine import SimState, init_run, run_to_completion
 from fabflock.metrics import LotRecord, MetricsSummary, RunResult, summarize
 from fabflock.model import Batch, Lot, Machine, MachineKind, MachineType, MultiQueue, Workcenter
@@ -41,11 +42,11 @@ def test_import_loads_neither_dataclasses_nor_inspect():
 def _runtime_objects():
     wc = make_batch_wc(1)
     lot = Lot(id=0, lot_type=3)
-    state = SimState(build_small_fab(), BaselinePolicy(), 1)
-    return [lot, Batch(3, [lot]), wc.machines[0], wc.queues[0], wc, state]
+    state = SimState(build_small_fab(), make_policy("baseline"), 1)
+    return [lot, Batch(3, [lot]), wc.machines[0], wc.queues[0], wc, state, state.policy]
 
 
-@pytest.mark.parametrize("cls", [Lot, Batch, Machine, MultiQueue, Workcenter, SimState])
+@pytest.mark.parametrize("cls", [Lot, Batch, Machine, MultiQueue, Workcenter, SimState, Policy])
 def test_misspelt_attribute_cannot_be_set(cls):
     obj = next(o for o in _runtime_objects() if type(o) is cls)
     with pytest.raises(AttributeError):
@@ -62,7 +63,7 @@ def test_runtime_objects_compare_by_identity():
 
 def _records():
     sc = build_small_fab()
-    result = run_to_completion(init_run(sc, BaselinePolicy(), 1))
+    result = run_to_completion(init_run(sc, make_policy("baseline"), 1))
     return [sc.machine_types[2], sc.lot_specs[0], sc, result.lots[0], result,
             summarize(result)]
 

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from fabflock import cli
+from fabflock import cli, flocking
 from fabflock.model import MachineKind, MachineType
 from fabflock.scenario import LotSpec, Scenario, ScenarioError
 
@@ -425,8 +425,11 @@ class TestPrintedTable:
 class TestMakePolicy:
     def test_flsq_len_is_wired_through(self):
         policy = cli.make_policy("flocking", flsq_len=9)
-        assert policy.flsq_len == 9
+        assert (policy.name, policy.flsq_len) == ("flocking", 9)
+        assert policy.choose_single is flocking.choose_single
+        assert policy.take_single is flocking.take_single
 
     def test_unknown_name(self):
-        with pytest.raises(cli.UsageError):
+        with pytest.raises(cli.UsageError,
+                           match="^unknown algorithm 'greedy'; valid names: baseline, flocking$"):
             cli.make_policy("greedy")

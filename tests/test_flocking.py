@@ -6,10 +6,9 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from fabflock import flocking, model
-from fabflock.baseline import BaselinePolicy
+from fabflock.cli import make_policy
 from fabflock.engine import init_run, run_to_completion
 from fabflock.flocking import (
-    FlockingPolicy,
     apply_pulls,
     first_same_type_distance,
     pull_from_totals,
@@ -411,7 +410,7 @@ class TestDistanceIndex:
 class TestTakeSingle:
     def test_policy_rejects_an_empty_window(self):
         with pytest.raises(ValueError, match="^flsq_len must be >= 1, got 0$"):
-            FlockingPolicy(flsq_len=0)
+            make_policy("flocking", flsq_len=0)
 
     def test_empty_queue(self):
         wc = make_single_wc(2)
@@ -447,8 +446,8 @@ class TestBatchRulesUnderEveryPolicy:
                           batch_type(1, rpt=3, bs=2, wt=5, count=2)],
                          [lots_spec(t, 4 + t, [0, 1, 0]) for t in range(4)])
         for seed in range(5):
-            base = run_to_completion(init_run(sc, BaselinePolicy(), seed))
-            flock = run_to_completion(init_run(sc, FlockingPolicy(), seed))
+            base = run_to_completion(init_run(sc, make_policy("baseline"), seed))
+            flock = run_to_completion(init_run(sc, make_policy("flocking"), seed))
             assert (base.algorithm, flock.algorithm) == ("baseline", "flocking")
             assert [getattr(flock, f) for f in RunResult.__slots__ if f != "algorithm"] \
                 == [getattr(base, f) for f in RunResult.__slots__ if f != "algorithm"]

@@ -177,21 +177,6 @@ class TestParse:
             with pytest.raises(ScenarioError, match=what):
                 sc.validate()
 
-    def test_unknown_recipe_step_rejected_with_line(self):
-        bad = TINY + "lottype 2 count 1 recipe 0 9\n"
-        with pytest.raises(ScenarioError, match="line 9.*unknown machine type 9"):
-            parse_scenario(bad)
-
-    def test_duplicate_machine_type_rejected(self):
-        bad = TINY + "machinetype 0 kind single count 1 rpt_hours 0.2\n"
-        with pytest.raises(ScenarioError, match="duplicate machine type"):
-            parse_scenario(bad)
-
-    def test_duplicate_lot_type_rejected(self):
-        bad = TINY + "lottype 0 count 1 recipe 0\n"
-        with pytest.raises(ScenarioError, match="duplicate lot type"):
-            parse_scenario(bad)
-
     def test_batch_size_below_two_rejected(self):
         bad = "machinetype 0 kind batch count 1 rpt_hours 0.4 bs 1 wt_hours 0.3\n"
         with pytest.raises(ScenarioError,
