@@ -1,28 +1,30 @@
 """Deterministic tick-loop simulation engine.
 
-Every tick executes five phases in this fixed order:
+Every tick executes five phases in this fixed order; ``tick`` calls the
+function named for each phase that has work:
 
-1. Busy machines count down; a machine reaching zero releases every lot of
-   its current batch, whose recipe cursors advance, and becomes idle.
-2. Released lots, visited in a seeded random order: finished lots record
-   the current tick; the rest join a queue at their next workcenter and are
-   enqueued at this tick. At a single-step workcenter the policy's
-   ``choose_single`` picks the queue; at a batch workcenter
+1. ``_release``: busy machines count down; a machine reaching zero releases
+   every lot of its current batch, whose recipe cursors advance, and
+   becomes idle.
+2. ``_dispatch``: released lots, visited in a seeded random order: finished
+   lots record the current tick; the rest join a queue at their next
+   workcenter and are enqueued at this tick. At a single-step workcenter
+   the policy's ``choose_single`` picks the queue; at a batch workcenter
    ``baseline.choose_batch`` does, under every policy.
-3. Idle machines, visited in a seeded random order, try to start: a
-   single-step machine lets the policy's ``take_single`` reorder its queue
-   in place, within the policy's ``flsq_len`` window, and then loads the
-   queue head; a batch machine starts the batch ``baseline.take_batch``
-   picks (passing whether its waiting timer has expired), if any. Starting
-   credits each loaded lot's queue wait.
+3. ``_start``: idle machines, visited in a seeded random order, try to
+   start: a single-step machine lets the policy's ``take_single`` reorder
+   its queue in place, within the policy's ``flsq_len`` window, and then
+   loads the queue head; a batch machine starts the batch
+   ``baseline.take_batch`` picks (passing whether its waiting timer has
+   expired), if any. Starting credits each loaded lot's queue wait.
 4. Waiting timers of idle batch machines with queued lots run on. This
    needs no per-tick work: a timer is the tick it was armed at, and an idle
    batch machine never holds a full batch after phase 3, since
    ``baseline.take_batch`` returns a batch whenever a full batch waits, so
    no timer ever pauses.
-5. The clock advances by one. A machine's busy time is derived: each start
-   keeps it busy for exactly ``raw_process_ticks`` ticks, and every machine
-   is idle once every lot finished.
+5. ``tick`` advances the clock by one. A machine's busy time is derived:
+   each start keeps it busy for exactly ``raw_process_ticks`` ticks, and
+   every machine is idle once every lot finished.
 
 A lot released in phase 1 can be dispatched in phase 2 and loaded by a
 downstream machine in phase 3 of the same tick, so an uncontended lot spends
@@ -52,8 +54,8 @@ calls ``next_step`` or ``Workcenter.view``; the engine keeps both names only
 because ``bench/run.py`` ``SITES`` traces them.
 
 ``init_run`` starts a run: ``SimState(scenario, policy, seed)`` sets every
-field of the fresh run, and the initial dispatch runs phase 2's loop over
-the lots in a seeded random order.
+field of the fresh run, and ``_dispatch`` queues every lot at tick 0, in a
+seeded random order.
 """
 
 from __future__ import annotations
@@ -124,13 +126,38 @@ class SimState:
                                   for m, q in zip(wc.machines, wc.queues)]
 
 
-def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
+def _release(state: SimState) -> list[Lot]:
+    """Phase 1 (module docstring): busy machines count down, and each one
+    reaching zero releases its batch. Returns the released lots in slot
+    order."""
+    released: list[Lot] = []
+    for _, m, queue in state.slots:
+        if not m.current_batch:
+            continue
+        m.busy_remaining -= 1
+        if m.busy_remaining == 0:
+            batch = m.current_batch
+            for lot in batch:
+                lot.step_cursor += 1
+            released += batch
+            m.current_batch = []
+            changed = queue.index.changed
+            if changed is not None:
+                changed.add(m.index)
+            if m.mtype.kind is MachineKind.BATCH and queue.size:
+                m.wt_armed_at = state.clock
+    return released
+
+
+def _dispatch(state: SimState, lots: list[Lot]) -> None:
     """Phase 2, and the initial dispatch: shuffles ``lots`` in place, then,
     in that order, a lot whose cursor is past its recipe finishes at
-    ``clock``, and every other lot joins a queue at the workcenter of its
-    next step, the one ``baseline.choose_batch`` picks at a batch
+    ``state.clock``, and every other lot joins a queue at the workcenter of
+    its next step, the one ``baseline.choose_batch`` picks at a batch
     workcenter, arming the waiting timer of a queue it makes nonempty, and
-    otherwise the one the policy's ``choose_single`` picks."""
+    otherwise the one the policy's ``choose_single`` picks. An empty list
+    draws nothing and changes nothing."""
+    clock = state.clock
     recipes = state.recipes
     workcenters = state.workcenters
     policy = state.policy
@@ -156,53 +183,15 @@ def _dispatch(state: SimState, lots: list[Lot], clock: int) -> None:
         lot.enqueue_time = clock
 
 
-def init_run(scenario: Scenario, policy: Policy, seed: int) -> SimState:
-    """Fresh simulation at tick 0 with every lot queued at its first step.
-
-    Builds the ``SimState``, which rejects an invalid scenario, such as one
-    whose recipes reference unknown machine types, then dispatches the lots
-    in a seeded random order through phase 2's queue choice.
-    """
-    state = SimState(scenario, policy, seed)
-    _dispatch(state, list(state.lots), clock=0)
-    return state
-
-
-def tick(state: SimState) -> SimState:
-    """Advance the simulation by one tick. Phases 1-3 run here; phase 4
-    needs no work and phase 5 is the clock increment (module docstring)."""
+def _start(state: SimState) -> None:
+    """Phase 3 (module docstring): idle machines try to start. The shuffled
+    list holds every idle machine, empty queue or not, so the draws do not
+    depend on occupancy."""
     clock = state.clock
     rng = state.rng
     policy = state.policy
     window = policy.flsq_len
-    slots = state.slots
-
-    # 1: countdown and release; a released lot's cursor moves to its next step
-    released: list[Lot] = []
-    for _, m, queue in slots:
-        if not m.current_batch:
-            continue
-        m.busy_remaining -= 1
-        if m.busy_remaining == 0:
-            batch = m.current_batch
-            for lot in batch:
-                lot.step_cursor += 1
-            released += batch
-            m.current_batch = []
-            changed = queue.index.changed
-            if changed is not None:
-                changed.add(m.index)
-            if m.mtype.kind is MachineKind.BATCH and queue.size:
-                m.wt_armed_at = clock
-
-    # 2: finish or dispatch to next queues, in shuffled order
-    if released:
-        _dispatch(state, released, clock)
-
-    # 3: idle machines try to start; the shuffled list holds every idle
-    # machine, empty queue or not, so the draws do not depend on occupancy.
-    # Starting credits each loaded lot's queue wait.
-    idle = [s for s in slots if not s[1].current_batch]
+    idle = [s for s in state.slots if not s[1].current_batch]
     shuffle(idle, rng)
     for wc, m, queue in idle:
         if not queue.size:
@@ -225,8 +214,26 @@ def tick(state: SimState) -> SimState:
         m.start_count += 1
         m.wt_armed_at = None
 
-    # 4 has no work (timers are arm ticks); 5: the clock, busy time is derived
-    state.clock = clock + 1
+
+def init_run(scenario: Scenario, policy: Policy, seed: int) -> SimState:
+    """Fresh simulation at tick 0 with every lot queued at its first step.
+
+    Builds the ``SimState``, which rejects an invalid scenario, such as one
+    whose recipes reference unknown machine types, then dispatches the lots
+    in a seeded random order through phase 2's queue choice.
+    """
+    state = SimState(scenario, policy, seed)
+    _dispatch(state, list(state.lots))
+    return state
+
+
+def tick(state: SimState) -> SimState:
+    """Advance the simulation by one tick: phases 1-3 are ``_release``,
+    ``_dispatch`` of the released lots and ``_start``; phase 4 needs no work
+    and phase 5 is the clock increment (module docstring)."""
+    _dispatch(state, _release(state))
+    _start(state)
+    state.clock += 1
     return state
 
 

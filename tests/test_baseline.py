@@ -203,13 +203,17 @@ class TestDrawPrimitives:
         assert ours.getstate() == stdlib.getstate()
 
     @given(st.integers())
-    def test_one_element_draws_nothing(self, seed):
+    def test_empty_or_one_element_draws_nothing(self, seed):
+        # Phase 2 shuffles the released lots even when there are none.
         rng = random.Random(seed)
         before = rng.getstate()
         items = ["only"]
         assert baseline.pick_uniform(items, rng) == "only"
         baseline.shuffle(items, rng)
         assert items == ["only"]
+        empty = []
+        baseline.shuffle(empty, rng)
+        assert empty == []
         assert rng.getstate() == before
 
     def test_pick_from_empty_raises(self):

@@ -13,7 +13,8 @@ The test modules must use their imports too. Two boundaries in the tests
 are checked as well: ``reference_engine.py`` imports only the standard
 library, so the differential test compares the engine with code that
 shares nothing with it; and no test module imports another, so shared
-helpers live in ``support.py`` or ``reference_engine.py``.
+helpers live in ``support.py`` or ``reference_engine.py``. Last, ``import
+fabflock`` may load only the few standard modules ``SETUP_STDLIB`` lists.
 """
 
 import ast
@@ -247,3 +248,28 @@ def test_the_module_check_finds_what_it_should():
               "def f():\n"
               "    import fabflock\n")
     assert imported_modules(source) == ["os", "random", "fabflock", ".", "fabflock"]
+
+
+#: What ``import fabflock`` may load from the standard library. The
+#: benchmark's ``setup_s`` times that import in a fresh interpreter, and one
+#: more module such as ``argparse`` or ``dataclasses`` costs as much as its
+#: 25% bound.
+SETUP_STDLIB = {"__future__", "bisect", "collections", "enum", "math", "random", "sys", "typing"}
+
+
+def test_importing_the_package_loads_only_light_standard_modules():
+    # ``import fabflock`` runs ``__init__.py``, the modules it imports
+    # relatively, those they import in turn, and so on.
+    todo, seen, heavy = ["__init__"], set(), {}
+    while todo:
+        module = todo.pop()
+        if module in seen:
+            continue
+        seen.add(module)
+        source = (PACKAGE / f"{module}.py").read_text(encoding="utf-8")
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                todo += [node.module] if node.module else [a.name for a in node.names]
+        if extra := set(imported_modules(source)) - SETUP_STDLIB - {"."}:
+            heavy[module] = sorted(extra)
+    assert heavy == {}

@@ -177,38 +177,6 @@ class TestParse:
             with pytest.raises(ScenarioError, match=what):
                 sc.validate()
 
-    def test_batch_size_below_two_rejected(self):
-        bad = "machinetype 0 kind batch count 1 rpt_hours 0.4 bs 1 wt_hours 0.3\n"
-        with pytest.raises(ScenarioError,
-                           match="^line 1: machine type 0: batch machines need batch_size >= 2$"):
-            parse_scenario(bad)
-
-    def test_single_step_with_timer_rejected(self):
-        bad = "machinetype 0 kind single count 1 rpt_hours 0.2 wt_hours 0.3\n"
-        with pytest.raises(ScenarioError, match="^line 1: single-step lines take no bs/wt_hours$"):
-            parse_scenario(bad)
-
-    def test_batch_without_size_rejected(self):
-        bad = "machinetype 0 kind batch count 1 rpt_hours 0.4\n"
-        with pytest.raises(ScenarioError, match="^line 1: batch machine type needs bs$"):
-            parse_scenario(bad)
-
-    def test_unknown_directive_rejected(self):
-        with pytest.raises(ScenarioError, match="^line 1: unknown directive 'machines'$"):
-            parse_scenario("machines 3\n")
-
-    def test_duplicate_tick_hours_rejected(self):
-        bad = "tick_hours 0.1\ntick_hours 0.2\n"
-        with pytest.raises(ScenarioError, match="^line 2: tick_hours given twice$"):
-            parse_scenario(bad)
-
-    def test_empty_recipe_rejected(self):
-        bad = "machinetype 0 kind single count 1 rpt_hours 0.2\nlottype 0 count 1 recipe\n"
-        with pytest.raises(ScenarioError) as rejected:
-            parse_scenario(bad)
-        assert str(rejected.value) == \
-            "line 2: expected 'lottype <t> count <n> recipe <steps...>'"
-
     @pytest.mark.parametrize("text, line_no, scenario", [
         (_ONE_MACHINE + "machinetype 0 kind single count 1 rpt_hours 0.2\n", 2,
          _unnamed([_single(0), _single(0)], [])),
@@ -268,9 +236,21 @@ class TestParse:
         ("machinetype\n", "line 1: machinetype needs an id"),
         ("scenario x\nmachinetype zero kind single count 1 rpt_hours 0.2\n",
          "line 2: machine type id must be an integer, got 'zero'"),
+        ("machinetype 0 kind batch count 1 rpt_hours 0.4 bs 1 wt_hours 0.3\n",
+         "line 1: machine type 0: batch machines need batch_size >= 2"),
+        ("machinetype 0 kind single count 1 rpt_hours 0.2 wt_hours 0.3\n",
+         "line 1: single-step lines take no bs/wt_hours"),
+        ("machinetype 0 kind batch count 1 rpt_hours 0.4\n",
+         "line 1: batch machine type needs bs"),
+        ("machines 3\n", "line 1: unknown directive 'machines'"),
+        ("tick_hours 0.1\ntick_hours 0.2\n", "line 2: tick_hours given twice"),
+        (_ONE_MACHINE + "lottype 0 count 1 recipe\n",
+         "line 2: expected 'lottype <t> count <n> recipe <steps...>'"),
     ], ids=["odd_key_value_count", "duplicate_key", "unknown_kind", "missing_count",
             "missing_rpt_hours", "unknown_keys", "zero_tick_hours", "second_scenario_line",
-            "non_numeric_float", "missing_id", "non_integer_id"])
+            "non_numeric_float", "missing_id", "non_integer_id", "batch_size_below_two",
+            "single_step_with_timer", "batch_without_size", "unknown_directive",
+            "duplicate_tick_hours", "empty_recipe"])
     def test_a_malformed_line_is_rejected_with_its_line(self, text, message):
         with pytest.raises(ScenarioError) as rejected:
             parse_scenario(text)
