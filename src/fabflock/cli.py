@@ -131,16 +131,22 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     replication order. Before touching ``out_dir``, it raises
     ``ScenarioError`` for a scenario ``Scenario.validate`` rejects, one
     built in code included, and then ``UsageError`` when no algorithm is
-    given, a name repeats or is unknown, ``runs`` lies outside
-    1..``MAX_RUNS``, ``base_seed`` is negative (``random.Random`` seeds with
-    the absolute value, so seeds -1 and 1 would run the same replication),
-    or ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is below 1.
+    given, a name repeats or is unknown, ``runs``, ``base_seed``,
+    ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is not an ``int`` (a
+    ``bool`` included), ``runs`` lies outside 1..``MAX_RUNS``,
+    ``base_seed`` is negative (``random.Random`` seeds with the absolute
+    value, so seeds -1 and 1 would run the same replication), or
+    ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is below 1.
     """
     scenario.validate()
     if not algorithms:
         raise UsageError("at least one algorithm must run")
     if len(set(algorithms)) < len(algorithms):
         raise UsageError(f"each algorithm may run once, got {algorithms}")
+    for name, value in (("runs", runs), ("base_seed", base_seed), ("flsq_len", flsq_len),
+                        ("hist_bin", hist_bin), ("horizon_factor", horizon_factor)):
+        if type(value) is not int:
+            raise UsageError(f"{name} must be an int, got {value!r}")
     if not 1 <= runs <= MAX_RUNS:
         raise UsageError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
     if base_seed < 0:
@@ -167,9 +173,7 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
         for result, s in zip(results[name], summaries[name]):
             run_rows.append([name, result.seed, s.makespan, _fmt(s.flow_factor),
                              _fmt(s.tardiness), _fmt(s.utilization)])
-    emit_csv(run_rows, out / "runs.csv",
-             ["algorithm", "seed", "makespan_ticks", "flow_factor",
-              "tardiness_ticks", "utilization"])
+    emit_csv(run_rows, out / "runs.csv", ["algorithm", "seed", *METRIC_KEYS])
 
     agg_rows = []
     means: dict[str, dict[str, float]] = {}

@@ -46,12 +46,12 @@ Per lot, phases 2 and 3 call only the policy's two rules
 (``choose_batch``, then ``take_batch``), and the queue mutators
 (``add_lot``, then ``pop_head`` or ``remove_batch``); the engine reads
 ``state.recipes`` directly and hands each decision the ``model.Workcenter``
-it is taken at, the one held in ``state.workcenters``. The batch rules are looked up on the ``baseline``
-module at call time, so a wrapper installed there (``bench/run.py`` traces
-them) sees every call. ``choose_batch`` also tags its choice "join" or
-"new"; the engine receives that tag and drops it. No code in the package
-calls ``next_step`` or ``Workcenter.view``; the engine keeps both names only
-because ``bench/run.py`` ``SITES`` traces them.
+it is taken at, the one held in ``state.workcenters``. The batch rules are
+looked up on the ``baseline`` module at call time, so a wrapper installed
+there (``bench/run.py`` traces them) sees every call. ``choose_batch`` also
+tags its choice "join" or "new"; the engine receives that tag and drops it.
+No code in the package calls ``next_step`` or ``Workcenter.view``; the
+engine keeps both names only because ``bench/run.py`` ``SITES`` traces them.
 
 ``init_run`` starts a run: ``SimState(scenario, policy, seed)`` sets every
 field of the fresh run, and ``_dispatch`` queues every lot at tick 0, in a

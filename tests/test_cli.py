@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import os
 import re
@@ -122,14 +123,22 @@ class TestMain:
 SETTING_FLAGS = {"runs": "--runs", "base_seed": "--seed", "flsq_len": "--flsq-len",
                  "hist_bin": "--hist-bin", "horizon_factor": "--horizon-factor"}
 
-#: Per bad setting other than ``runs`` and ``base_seed``, which have tests of
-#: their own below: the ``run_experiment`` arguments that break one rule, the
+#: Per bad setting: the ``run_experiment`` arguments that break one rule, the
 #: message it raises, and whether ``main`` can pass them on. No flag gives an
-#: empty algorithm list, and argparse rejects an unknown ``--algorithm`` itself.
+#: empty algorithm list or a value that is not an int (argparse's ``type=int``
+#: rejects it first), and argparse rejects an unknown ``--algorithm`` itself.
 BAD_SETTINGS = {
+    "runs-0": ({"runs": 0}, "runs must lie in 1..10000, got 0", True),
+    "runs--1": ({"runs": -1}, "runs must lie in 1..10000, got -1", True),
+    "runs-10001": ({"runs": 10_001}, "runs must lie in 1..10000, got 10001", True),
+    "runs-True": ({"runs": True}, "runs must be an int, got True", False),
+    # random.Random(-s) equals Random(s): seeds -1 and 1 would be one run.
+    "base_seed--1": ({"runs": 3, "base_seed": -1}, "base_seed must be >= 0, got -1", True),
     "flsq_len-0": ({"algorithms": ["flocking"], "flsq_len": 0},
                    "flsq_len must be >= 1, got 0", True),
+    "flsq_len-2.5": ({"flsq_len": 2.5}, "flsq_len must be an int, got 2.5", False),
     "hist_bin-0": ({"hist_bin": 0}, "hist_bin must be >= 1, got 0", True),
+    "hist_bin-2.5": ({"hist_bin": 2.5}, "hist_bin must be an int, got 2.5", False),
     "horizon_factor-0": ({"horizon_factor": 0}, "horizon_factor must be >= 1, got 0", True),
     "horizon_factor--5": ({"horizon_factor": -5}, "horizon_factor must be >= 1, got -5", True),
     "algorithms-repeated": ({"algorithms": ["flocking", "flocking"]},
@@ -139,9 +148,8 @@ BAD_SETTINGS = {
                            "unknown algorithm 'bogus'; valid names: baseline, flocking", False),
 }
 
-
-def runs_message(runs):
-    return f"runs must lie in 1..{cli.MAX_RUNS}, got {runs}"
+#: The ``BAD_SETTINGS`` rows that ``main`` can pass on, as (settings, message).
+MAIN_BAD_SETTINGS = {key: row[:2] for key, row in BAD_SETTINGS.items() if row[2]}
 
 
 def with_defaults(settings):
@@ -183,34 +191,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "baseline" in err and "flocking" in err
 
-    def test_bad_runs_is_usage_error(self, tiny_path, tmp_path, capsys):
-        assert_main_usage_error(tiny_path, tmp_path / "r", capsys, runs_message(0), {"runs": 0})
-
-    def test_runs_beyond_the_limit_is_usage_error(self, tiny_path, tmp_path, capsys):
-        runs = cli.MAX_RUNS + 1
-        assert_main_usage_error(tiny_path, tmp_path / "r", capsys, runs_message(runs),
-                                {"runs": runs})
-
-    @pytest.mark.parametrize("runs", [0, -1, cli.MAX_RUNS + 1])
-    def test_runs_out_of_range_rejected_before_output(self, tiny_path, tmp_path, runs):
-        assert_api_usage_error(tiny_path, tmp_path / "r", runs_message(runs), {"runs": runs})
-
-    def test_negative_seed_rejected_before_output(self, tiny_path, tmp_path):
-        # random.Random(-s) equals Random(s): seeds -1 and 1 would be one run.
-        assert_api_usage_error(tiny_path, tmp_path / "r", "base_seed must be >= 0, got -1",
-                               {"runs": 3, "base_seed": -1})
-
-    def test_negative_seed_is_usage_error(self, tiny_path, tmp_path, capsys):
-        assert_main_usage_error(tiny_path, tmp_path / "r", capsys,
-                                "base_seed must be >= 0, got -1", {"runs": 3, "base_seed": -1})
-
-    @pytest.mark.parametrize("settings, message, via_main", BAD_SETTINGS.values(),
+    @pytest.mark.parametrize("settings, message", [row[:2] for row in BAD_SETTINGS.values()],
                              ids=list(BAD_SETTINGS))
-    def test_bad_setting_is_one_usage_error(self, tiny_path, tmp_path, capsys, settings,
-                                            message, via_main):
+    def test_bad_setting_is_one_usage_error(self, tiny_path, tmp_path, settings, message):
         assert_api_usage_error(tiny_path, tmp_path / "r", message, settings)
-        if via_main:
-            assert_main_usage_error(tiny_path, tmp_path / "r", capsys, message, settings)
+
+    @pytest.mark.parametrize("settings, message", MAIN_BAD_SETTINGS.values(),
+                             ids=list(MAIN_BAD_SETTINGS))
+    def test_bad_setting_flag_exits_1(self, tiny_path, tmp_path, capsys, settings, message):
+        assert_main_usage_error(tiny_path, tmp_path / "r", capsys, message, settings)
+
+    def test_every_flag_setting_has_a_bad_settings_row(self):
+        named = {key for settings, _, _ in BAD_SETTINGS.values() for key in settings}
+        assert set(SETTING_FLAGS) - set(inspect.signature(cli.run_experiment).parameters) == set()
+        assert set(SETTING_FLAGS) - named == set()
 
     def test_scenario_error_comes_before_a_bad_setting(self, tmp_path):
         assert cli.main(["--scenario", str(tmp_path / "nope.txt"), "--runs", "0",

@@ -72,58 +72,63 @@ class TestQueueStartsEmpty:
         assert [q.size for q in wc.queues] == [2]
 
 
+#: A valid single-step and a valid batch machine type.
+SINGLE_TYPE = {"id": 0, "kind": MachineKind.SINGLE_STEP, "raw_process_ticks": 1}
+BATCH_TYPE = {"id": 0, "kind": MachineKind.BATCH, "raw_process_ticks": 2, "batch_size": 2,
+              "wt_ticks": 1}
+
+#: Per rule ``MachineType`` enforces: one of the types above with the field
+#: that breaks only that rule, and the exact ``ConfigError`` message.
+BAD_MACHINE_TYPES = {
+    "single_step_rejects_batch_size": (
+        {**SINGLE_TYPE, "batch_size": 4},
+        "machine type 0: single-step machines have batch_size 1"),
+    "single_step_rejects_waiting_timer": (
+        {**SINGLE_TYPE, "wt_ticks": 3},
+        "machine type 0: single-step machines have no waiting timer"),
+    "batch_needs_size_two": (
+        {**BATCH_TYPE, "batch_size": 1},
+        "machine type 0: batch machines need batch_size >= 2"),
+    "rpt_at_least_one": (
+        {**SINGLE_TYPE, "raw_process_ticks": 0},
+        "machine type 0: raw_process_ticks must be >= 1"),
+    "machine_count_at_least_one": (
+        {**SINGLE_TYPE, "machine_count": 0},
+        "machine type 0: machine_count must be >= 1"),
+    "batch_waiting_timer_not_negative": (
+        {**BATCH_TYPE, "wt_ticks": -1},
+        "machine type 0: wt_ticks must be >= 0"),
+    # The engine arms a waiting timer only for MachineKind.BATCH, while the
+    # queues treat every kind but SINGLE_STEP as batch.
+    "kind_must_be_a_machine_kind": (
+        {**BATCH_TYPE, "kind": "batch"},
+        "machine type 0: kind must be a MachineKind, got 'batch'"),
+    "integer_field-id-0": (
+        {**BATCH_TYPE, "id": "0"},
+        "machine type '0': id must be an int, got '0'"),
+    # A countdown from 2.5 never reaches 0.
+    "integer_field-raw_process_ticks-2.5": (
+        {**BATCH_TYPE, "raw_process_ticks": 2.5},
+        "machine type 0: raw_process_ticks must be an int, got 2.5"),
+    "integer_field-batch_size-2.0": (
+        {**BATCH_TYPE, "batch_size": 2.0},
+        "machine type 0: batch_size must be an int, got 2.0"),
+    "integer_field-wt_ticks-1.0": (
+        {**BATCH_TYPE, "wt_ticks": 1.0},
+        "machine type 0: wt_ticks must be an int, got 1.0"),
+    "integer_field-machine_count-True": (
+        {**BATCH_TYPE, "machine_count": True},
+        "machine type 0: machine_count must be an int, got True"),
+}
+
+
 class TestMachineTypeValidation:
     def test_single_step_defaults_ok(self):
         MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1)
 
-    def test_single_step_rejects_batch_size(self):
-        with pytest.raises(ConfigError,
-                           match="^machine type 0: single-step machines have batch_size 1$"):
-            MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, batch_size=4)
-
-    def test_single_step_rejects_waiting_timer(self):
-        with pytest.raises(ConfigError,
-                           match="^machine type 0: single-step machines have no waiting timer$"):
-            MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, wt_ticks=3)
-
-    def test_batch_needs_size_two(self):
-        with pytest.raises(ConfigError,
-                           match="^machine type 0: batch machines need batch_size >= 2$"):
-            MachineType(0, MachineKind.BATCH, raw_process_ticks=1, batch_size=1)
-
-    def test_rpt_at_least_one(self):
-        with pytest.raises(ConfigError, match="^machine type 0: raw_process_ticks must be >= 1$"):
-            MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=0)
-
-    def test_machine_count_at_least_one(self):
-        with pytest.raises(ConfigError, match="^machine type 0: machine_count must be >= 1$"):
-            MachineType(0, MachineKind.SINGLE_STEP, raw_process_ticks=1, machine_count=0)
-
-    def test_batch_waiting_timer_not_negative(self):
-        with pytest.raises(ConfigError, match="^machine type 0: wt_ticks must be >= 0$"):
-            MachineType(0, MachineKind.BATCH, raw_process_ticks=1, batch_size=2, wt_ticks=-1)
-
-    def test_kind_must_be_a_machine_kind(self):
-        # The engine arms a waiting timer only for MachineKind.BATCH, while
-        # the queues treat every kind but SINGLE_STEP as batch.
-        with pytest.raises(ConfigError,
-                           match="^machine type 0: kind must be a MachineKind, got 'batch'$"):
-            MachineType(0, "batch", 2, batch_size=2, wt_ticks=1)
-
-    @pytest.mark.parametrize("field, value, message", [
-        ("id", "0", "machine type '0': id must be an int, got '0'"),
-        # a countdown from 2.5 never reaches 0
-        ("raw_process_ticks", 2.5, "machine type 0: raw_process_ticks must be an int, got 2.5"),
-        ("batch_size", 2.0, "machine type 0: batch_size must be an int, got 2.0"),
-        ("wt_ticks", 1.0, "machine type 0: wt_ticks must be an int, got 1.0"),
-        ("machine_count", True, "machine type 0: machine_count must be an int, got True"),
-    ], ids=["id-0", "raw_process_ticks-2.5", "batch_size-2.0", "wt_ticks-1.0",
-            "machine_count-True"])
-    def test_integer_field_must_be_an_int(self, field, value, message):
-        fields = dict(id=0, kind=MachineKind.BATCH, raw_process_ticks=2, batch_size=2,
-                      wt_ticks=1, machine_count=1)
-        MachineType(**fields)
-        fields[field] = value
+    @pytest.mark.parametrize("fields, message", BAD_MACHINE_TYPES.values(),
+                             ids=list(BAD_MACHINE_TYPES))
+    def test_rejected(self, fields, message):
         with pytest.raises(ConfigError) as rejected:
             MachineType(**fields)
         assert str(rejected.value) == message
