@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 
-from .model import Batch, Lot, Machine, MultiQueue, Workcenter
+from .model import Batch, Lot, Machine, MultiQueue, Workcenter, check_setting
 
 
 # The two draw primitives take the same bits of ``rng.getrandbits``, in the
@@ -114,13 +114,15 @@ class Policy:
 
     Batch workcenters run this module's ``choose_batch`` and ``take_batch``
     under every policy; the engine calls them itself.
+
+    Raises ValueError, through ``model.check_setting``, when ``flsq_len`` is
+    not an ``int`` (a ``bool`` included) or is below 1.
     """
 
     __slots__ = ("name", "choose_single", "take_single", "flsq_len")
 
     def __init__(self, name: str, choose_single, take_single, flsq_len: int):
-        if flsq_len < 1:
-            raise ValueError(f"flsq_len must be >= 1, got {flsq_len}")
+        check_setting("flsq_len", flsq_len, 1)
         self.name = name
         self.choose_single = choose_single
         self.take_single = take_single

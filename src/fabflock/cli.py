@@ -24,7 +24,7 @@ from .baseline import Policy
 from .engine import DEFAULT_HORIZON_FACTOR, SimulationAbort, init_run, run_to_completion
 from .flocking import DEFAULT_FLSQ_LEN
 from .metrics import DEFAULT_HIST_BIN, MetricsSummary, RunResult, histogram_from_times, summarize
-from .model import ConfigError
+from .model import ConfigError, check_setting
 from .scenario import MAX_FILE_BYTES, Scenario, ScenarioError, build_small_fab, parse_scenario
 
 EXIT_OK = 0
@@ -130,32 +130,28 @@ def run_experiment(scenario: Scenario, algorithms: list[str], runs: int,
     every CSV is written. Returns {algorithm: [RunResult, ...]} in
     replication order. Before touching ``out_dir``, it raises
     ``ScenarioError`` for a scenario ``Scenario.validate`` rejects, one
-    built in code included, and then ``UsageError`` when no algorithm is
-    given, a name repeats or is unknown, ``runs``, ``base_seed``,
-    ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is not an ``int`` (a
-    ``bool`` included), ``runs`` lies outside 1..``MAX_RUNS``,
-    ``base_seed`` is negative (``random.Random`` seeds with the absolute
-    value, so seeds -1 and 1 would run the same replication), or
-    ``flsq_len``, ``hist_bin`` or ``horizon_factor`` is below 1.
+    built in code included. Then it raises ``UsageError`` when no
+    algorithm is given or a name repeats; then, with ``model.check_setting``'s
+    message, for the first setting that is not an ``int`` (a ``bool``
+    included) in its range: ``runs`` in 1..``MAX_RUNS``, ``base_seed`` at
+    least 0 (``random.Random`` seeds with the absolute value, so seeds -1
+    and 1 would run the same replication), ``hist_bin`` and
+    ``horizon_factor`` at least 1; last, while ``make_policy`` builds the
+    policies, for an unknown name or a ``flsq_len`` ``Policy`` rejects.
     """
     scenario.validate()
     if not algorithms:
         raise UsageError("at least one algorithm must run")
     if len(set(algorithms)) < len(algorithms):
         raise UsageError(f"each algorithm may run once, got {algorithms}")
-    for name, value in (("runs", runs), ("base_seed", base_seed), ("flsq_len", flsq_len),
-                        ("hist_bin", hist_bin), ("horizon_factor", horizon_factor)):
-        if type(value) is not int:
-            raise UsageError(f"{name} must be an int, got {value!r}")
-    if not 1 <= runs <= MAX_RUNS:
-        raise UsageError(f"runs must lie in 1..{MAX_RUNS}, got {runs}")
-    if base_seed < 0:
-        raise UsageError(f"base_seed must be >= 0, got {base_seed}")
-    for name, value in (("flsq_len", flsq_len), ("hist_bin", hist_bin),
-                        ("horizon_factor", horizon_factor)):
-        if value < 1:
-            raise UsageError(f"{name} must be >= 1, got {value}")
-    policies = {name: make_policy(name, flsq_len) for name in algorithms}
+    try:
+        check_setting("runs", runs, 1, MAX_RUNS)
+        check_setting("base_seed", base_seed, 0)
+        check_setting("hist_bin", hist_bin, 1)
+        check_setting("horizon_factor", horizon_factor, 1)
+        policies = {name: make_policy(name, flsq_len) for name in algorithms}
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
@@ -233,15 +229,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=1,
                         help="base seed, >= 0; replication r uses seed+r (default 1)")
     parser.add_argument("--flsq-len", type=int, default=DEFAULT_FLSQ_LEN,
-                        help=f"flocking reshuffle window length (default {DEFAULT_FLSQ_LEN})")
+                        help=f"flocking reshuffle window, at least 1 (default {DEFAULT_FLSQ_LEN})")
     parser.add_argument("--hist-bin", type=int, default=DEFAULT_HIST_BIN,
-                        help=f"histogram bin width in ticks (default {DEFAULT_HIST_BIN})")
+                        help="histogram bin width in ticks, at least 1 "
+                             f"(default {DEFAULT_HIST_BIN})")
     parser.add_argument("--out", default="./results",
                         help="output directory (default ./results)")
     parser.add_argument("--horizon-factor", type=int, default=DEFAULT_HORIZON_FACTOR,
-                        help="livelock guard: abort after this many times the total work "
-                             "content passes without a finish; a waiting timer as long as "
-                             "that aborts a healthy run, so raise it for long timers "
+                        help="livelock guard, at least 1: abort after this many times the "
+                             "total work content passes without a finish; a waiting timer "
+                             "as long as that aborts a healthy run, so raise it for long timers "
                              f"(default {DEFAULT_HORIZON_FACTOR})")
     return parser
 

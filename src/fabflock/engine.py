@@ -75,6 +75,7 @@ from .model import (
     MachineKind,
     MultiQueue,
     Workcenter,  # bench/run.py SITES also traces engine.Workcenter.view
+    check_setting,
     next_step,  # noqa: F401  (bench/run.py traces it under engine.next_step)
 )
 from .scenario import Scenario
@@ -250,11 +251,11 @@ def run_to_completion(state: SimState, horizon_factor: int = DEFAULT_HORIZON_FAC
     timer when it is no shorter than the horizon, so that a lot waiting it
     out can outlast the guard.
 
-    Raises ValueError, before the first tick, when ``horizon_factor`` is
-    below 1: such a horizon is shorter than the work itself.
+    Raises ValueError, through ``model.check_setting`` and before the first
+    tick, when ``horizon_factor`` is not an ``int`` (a ``bool`` included) or
+    is below 1: such a horizon is shorter than the work itself.
     """
-    if horizon_factor < 1:
-        raise ValueError(f"horizon_factor must be >= 1, got {horizon_factor}")
+    check_setting("horizon_factor", horizon_factor, 1)
     total = len(state.lots)
     rpt_by_type = state.scenario.rpt_by_type()
     horizon = max(1, horizon_factor * sum(rpt_by_type[l.lot_type] for l in state.lots))

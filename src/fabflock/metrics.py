@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .model import ConfigError, Record, _set
+from .model import ConfigError, Record, _set, check_setting
 
 
 class LotRecord(Record):
@@ -77,9 +77,11 @@ DEFAULT_HIST_BIN = 10
 
 
 def histogram_from_times(times, bin_width: int = DEFAULT_HIST_BIN) -> list[tuple[int, int]]:
-    """(bin start, count) pairs; bin b covers [b*w, (b+1)*w)."""
-    if bin_width < 1:
-        raise ValueError(f"bin_width must be >= 1, got {bin_width}")
+    """(bin start, count) pairs; bin b covers [b*w, (b+1)*w).
+
+    Raises ValueError, through ``model.check_setting``, when ``bin_width``
+    is not an ``int`` (a ``bool`` included) or is below 1."""
+    check_setting("bin_width", bin_width, 1)
     if not times:
         return []
     counts = [0] * (max(times) // bin_width + 1)

@@ -21,6 +21,18 @@ class ConfigError(ValueError):
     """Invalid machine, recipe, or scenario configuration."""
 
 
+def check_setting(name: str, value: object, low: int, high: int | None = None) -> None:
+    """Raise ValueError, naming the setting, unless ``value`` is an ``int``
+    (not a ``bool``) of at least ``low`` and, when ``high`` is given, at most
+    ``high``: the one rule on every integer setting of a run."""
+    if type(value) is not int:
+        raise ValueError(f"{name} must be an int, got {value!r}")
+    if high is not None and not low <= value <= high:
+        raise ValueError(f"{name} must lie in {low}..{high}, got {value}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+
+
 class MachineKind(Enum):
     SINGLE_STEP = "single"
     BATCH = "batch"

@@ -383,14 +383,14 @@ options:
                         both)
   --runs RUNS           replications per algorithm, 1 to 10000 (default 50)
   --seed SEED           base seed, >= 0; replication r uses seed+r (default 1)
-  --flsq-len FLSQ_LEN   flocking reshuffle window length (default 5)
-  --hist-bin HIST_BIN   histogram bin width in ticks (default 10)
+  --flsq-len FLSQ_LEN   flocking reshuffle window, at least 1 (default 5)
+  --hist-bin HIST_BIN   histogram bin width in ticks, at least 1 (default 10)
   --out OUT             output directory (default ./results)
   --horizon-factor HORIZON_FACTOR
-                        livelock guard: abort after this many times the total
-                        work content passes without a finish; a waiting timer
-                        as long as that aborts a healthy run, so raise it for
-                        long timers (default 100)
+                        livelock guard, at least 1: abort after this many
+                        times the total work content passes without a finish;
+                        a waiting timer as long as that aborts a healthy run,
+                        so raise it for long timers (default 100)
 """
 
 

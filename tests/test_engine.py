@@ -285,9 +285,15 @@ class TestLivelockGuard:
                      horizon_factor=301)
         assert result.makespan == 301
 
-    @pytest.mark.parametrize("factor", [0, -5])
-    def test_horizon_below_the_work_is_rejected_before_a_tick(self, factor):
+    @pytest.mark.parametrize("factor, message", [
+        (0, "horizon_factor must be >= 1, got 0"),
+        (-5, "horizon_factor must be >= 1, got -5"),
+        (2.5, "horizon_factor must be an int, got 2.5"),
+        (True, "horizon_factor must be an int, got True"),
+    ], ids=["0", "-5", "2.5", "True"])
+    def test_horizon_below_the_work_is_rejected_before_a_tick(self, factor, message):
         state = init_run(build_small_fab(), make_policy("baseline"), seed=1)
-        with pytest.raises(ValueError, match="horizon_factor must be >= 1"):
+        with pytest.raises(ValueError) as rejected:
             run_to_completion(state, horizon_factor=factor)
+        assert str(rejected.value) == message
         assert state.clock == 0

@@ -409,8 +409,14 @@ class TestDistanceIndex:
 
 class TestTakeSingle:
     def test_policy_rejects_an_empty_window(self):
-        with pytest.raises(ValueError, match="^flsq_len must be >= 1, got 0$"):
-            make_policy("flocking", flsq_len=0)
+        # A float window would fail only at the first FLSQ take, as a slice
+        # index; a bool would run as a window of 1.
+        for flsq_len, message in [(0, "flsq_len must be >= 1, got 0"),
+                                  (2.5, "flsq_len must be an int, got 2.5"),
+                                  (True, "flsq_len must be an int, got True")]:
+            with pytest.raises(ValueError) as rejected:
+                make_policy("flocking", flsq_len=flsq_len)
+            assert str(rejected.value) == message
 
     def test_empty_queue(self):
         wc = make_single_wc(2)

@@ -13,8 +13,9 @@ The test modules must use their imports too. Two boundaries in the tests
 are checked as well: ``reference_engine.py`` imports only the standard
 library, so the differential test compares the engine with code that
 shares nothing with it; and no test module imports another, so shared
-helpers live in ``support.py`` or ``reference_engine.py``. Last, ``import
+helpers live in ``support.py`` or ``reference_engine.py``. ``import
 fabflock`` may load only the few standard modules ``SETUP_STDLIB`` lists.
+Last, no line of a package or test module is longer than ``MAX_LINE``.
 """
 
 import ast
@@ -273,3 +274,14 @@ def test_importing_the_package_loads_only_light_standard_modules():
         if extra := set(imported_modules(source)) - SETUP_STDLIB - {"."}:
             heavy[module] = sorted(extra)
     assert heavy == {}
+
+
+MAX_LINE = 100
+
+
+def test_no_line_is_longer_than_max_line():
+    long = [f"{path.parent.name}/{path.name}:{number}"
+            for path in sorted([*PACKAGE.glob("*.py"), *TESTS.glob("*.py")])
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if len(line) > MAX_LINE]
+    assert long == []

@@ -93,8 +93,11 @@ class TestHistogram:
         assert histogram_from_times([]) == []
 
     def test_bad_width(self):
-        with pytest.raises(ValueError, match="^bin_width must be >= 1, got 0$"):
-            histogram_from_times([1], 0)
+        for width, message in [(0, "bin_width must be >= 1, got 0"),
+                               (2.5, "bin_width must be an int, got 2.5")]:
+            with pytest.raises(ValueError) as rejected:
+                histogram_from_times([1], width)
+            assert str(rejected.value) == message
 
     @given(times=st.lists(st.integers(0, 400)), width=st.integers(1, 40))
     def test_counts_sum_to_lot_count(self, times, width):

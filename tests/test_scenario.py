@@ -304,37 +304,53 @@ def _valid_scenarios(draw):
     return Scenario(name, tick_hours, tuple(machine_types), tuple(lot_specs))
 
 
+def _named(name):
+    """The small fab under another name."""
+    fab = build_small_fab()
+    return Scenario(name, fab.tick_hours, fab.machine_types, fab.lot_specs)
+
+
+_NAME_RULE = "must be nonempty, without '#', and its words separated by single spaces"
+
+#: Row id -> (a scenario ``serialize_scenario`` cannot write back as it is,
+#: ``validate``'s exact message, and the ``record`` it names).
+UNWRITABLE = {
+    # written back as a bare "scenario" line, which does not parse
+    "name-empty": (_named(""), f"scenario name '' {_NAME_RULE}", None),
+    # parses back as "a"
+    "name-hash": (_named("a#b"), f"scenario name 'a#b' {_NAME_RULE}", None),
+    # parses back as "a b"
+    "name-double_space": (_named("a  b"), f"scenario name 'a  b' {_NAME_RULE}", None),
+    "name-leading_space": (_named(" a"), f"scenario name ' a' {_NAME_RULE}", None),
+    "name-tab": (_named("a\tb"), f"scenario name 'a\\tb' {_NAME_RULE}", None),
+    # a sixth machine type
+    "name-newline": (_named("x\nmachinetype 9 kind single count 1 rpt_hours 0.1"),
+                     "scenario name 'x\\nmachinetype 9 kind single count 1 rpt_hours 0.1' "
+                     + _NAME_RULE, None),
+    "name-None": (_named(None), f"scenario name None {_NAME_RULE}", None),
+    # init_run builds range(count) lots
+    "lot_spec-float_count": (_unnamed([_single(0)], [LotSpec(0, 2.0, (0,))]),
+                             "lot type 0: id and count must be ints", 1),
+    "lot_spec-str_id": (_unnamed([_single(0)], [LotSpec("0", 2, (0,))]),
+                        "lot type '0': id and count must be ints", 1),
+    "lot_spec-float_step": (_unnamed([_single(0)], [LotSpec(0, 2, (0.0,))]),
+                            "lot type 0: recipe step 0.0 is not an int", 1),
+}
+
+
 class TestValidateRejectsWhatTheFileCannotHold:
-    @pytest.mark.parametrize("name", [
-        "",  # written back as a bare "scenario" line, which does not parse
-        "a#b",  # parses back as "a"
-        "a  b",  # parses back as "a b"
-        " a",
-        "a\tb",
-        "x\nmachinetype 9 kind single count 1 rpt_hours 0.1",  # a sixth machine type
-        None,
-    ])
-    def test_name_rejected(self, name):
-        fab = build_small_fab()
-        sc = Scenario(name, fab.tick_hours, fab.machine_types, fab.lot_specs)
-        with pytest.raises(ScenarioError, match="scenario name"):
-            sc.validate()
+    @pytest.mark.parametrize("scenario, message, record", UNWRITABLE.values(),
+                             ids=list(UNWRITABLE))
+    def test_rejected(self, scenario, message, record):
+        with pytest.raises(ScenarioError) as rejected:
+            scenario.validate()
+        assert str(rejected.value) == message
+        assert rejected.value.record == record
 
     def test_spaced_name_round_trips(self):
-        fab = build_small_fab()
-        sc = Scenario("small fab 2", fab.tick_hours, fab.machine_types, fab.lot_specs)
+        sc = _named("small fab 2")
         sc.validate()
         assert parse_scenario(serialize_scenario(sc)) == sc
-
-    @pytest.mark.parametrize("spec", [
-        LotSpec(0, 2.0, (0,)),  # init_run builds range(count) lots
-        LotSpec("0", 2, (0,)),
-        LotSpec(0, 2, (0.0,)),
-    ])
-    def test_lot_spec_fields_must_be_ints(self, spec):
-        sc = Scenario("x", 0.1, (MachineType(0, MachineKind.SINGLE_STEP, 1),), (spec,))
-        with pytest.raises(ScenarioError, match="int"):
-            sc.validate()
 
     def test_empty_recipe_rejected_in_code(self):
         # A file cannot write an empty recipe: its lottype line would not parse.
